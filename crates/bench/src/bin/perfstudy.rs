@@ -23,54 +23,18 @@
 //! million clients, streaming-histogram latencies, events/sec), the
 //! P15 elasticity section (every technique scaling 3 → 7 → 3 mid-run:
 //! online-join times, transfer volume, traffic disturbance, silent-loss
-//! gate), the P16 sharding section (shards × cross-shard ratio with
-//! the weak-scaling gate and the S=1 identity check) and the P14 arena
-//! section (payload-plane study with digest-checked arena vs inline
-//! cells, fan-out timing matrix, allocation-free gate). `--json-only`
+//! gate) and the P16 sharding section (shards × cross-shard ratio with
+//! the weak-scaling gate and the S=1 identity check). `--json-only`
 //! skips the tables (CI smoke mode); `--p8-only` / `--p9-only` /
-//! `--p10-only` / `--p12-only` / `--p13-only` / `--p14-only` /
-//! `--p15-only` / `--p16-only` print just that study's table.
+//! `--p10-only` / `--p12-only` / `--p13-only` / `--p15-only` /
+//! `--p16-only` print just that study's table.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use repl_bench::sweep::{run_sweep, CellResult, SweepCell};
 use repl_bench::*;
 use repl_core::protocols::common::AbcastImpl;
 use repl_core::{RunConfig, Technique};
-
-/// A counting global allocator: the P14 payload-plane study reports heap
-/// allocations per transaction (arena vs inline payloads), and the
-/// `fanout_alloc_free` gate proves a warm arena-handle multicast round
-/// allocates nothing. Only the count is added on the hot path; dealloc
-/// is untouched.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 struct Args {
     threads: Option<usize>,
@@ -81,7 +45,6 @@ struct Args {
     p10_only: bool,
     p12_only: bool,
     p13_only: bool,
-    p14_only: bool,
     p15_only: bool,
     p16_only: bool,
 }
@@ -96,7 +59,6 @@ fn parse_args() -> Args {
         p10_only: false,
         p12_only: false,
         p13_only: false,
-        p14_only: false,
         p15_only: false,
         p16_only: false,
     };
@@ -123,7 +85,6 @@ fn parse_args() -> Args {
             "--p10-only" => args.p10_only = true,
             "--p12-only" => args.p12_only = true,
             "--p13-only" => args.p13_only = true,
-            "--p14-only" => args.p14_only = true,
             "--p15-only" => args.p15_only = true,
             "--p16-only" => args.p16_only = true,
             "--help" | "-h" => usage(""),
@@ -140,7 +101,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: perfstudy [--threads N] [--json PATH] [--json-only] \
          [--p8-only] [--p9-only] [--p10-only] [--p12-only] [--p13-only] \
-         [--p14-only] [--p15-only] [--p16-only]"
+         [--p15-only] [--p16-only]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -1058,252 +1019,6 @@ fn open_loop_json(threads: usize) -> String {
     s
 }
 
-/// The writeset sizes (records) of the fan-out cells in the arena
-/// section; mirrors the `sim_events` criterion cells.
-const FANOUT_WS_SIZES: [usize; 3] = [1, 16, 256];
-
-/// The group sizes of the fan-out cells.
-const FANOUT_GROUPS: [u32; 2] = [3, 7];
-
-/// Multicast rounds per fan-out cell.
-const FANOUT_ROUNDS: u64 = 200;
-
-/// The per-event improvement (percent) the arena-handle payload must
-/// show over the cloned-Vec payload at the largest cell (ws=256, g=7).
-const FANOUT_GATE_PCT: f64 = 25.0;
-
-/// A writeset shipped by value: every multicast leg deep-copies
-/// `24 * len` bytes of records.
-#[derive(Clone, Debug)]
-struct VecWs(Vec<[u64; 3]>);
-
-impl repl_sim::Message for VecWs {
-    fn wire_size(&self) -> usize {
-        16 + 24 * self.0.len()
-    }
-}
-
-/// The same writeset as a 16-byte arena handle: legs copy the handle,
-/// wire accounting still charges the full logical bytes.
-#[derive(Clone, Debug)]
-struct HandleWs {
-    _start: u64,
-    len: u32,
-    _site: u32,
-}
-
-impl repl_sim::Message for HandleWs {
-    fn wire_size(&self) -> usize {
-        16 + 24 * self.len as usize
-    }
-
-    fn clone_is_cheap(&self) -> bool {
-        true
-    }
-}
-
-/// Multicasts a `make(ws)`-built payload to the rest of the group every
-/// round — the shape of an ABCAST dissemination fan-out.
-struct FanOutActor<M: repl_sim::Message> {
-    group: Vec<repl_sim::NodeId>,
-    rounds: u64,
-    ws: usize,
-    make: fn(usize) -> M,
-}
-
-impl<M: repl_sim::Message> repl_sim::Actor<M> for FanOutActor<M> {
-    fn on_start(&mut self, ctx: &mut repl_sim::Context<'_, M>) {
-        let targets: Vec<repl_sim::NodeId> = self
-            .group
-            .iter()
-            .copied()
-            .filter(|&n| n != ctx.me())
-            .collect();
-        ctx.multicast(targets, (self.make)(self.ws));
-    }
-
-    fn on_message(&mut self, ctx: &mut repl_sim::Context<'_, M>, _from: repl_sim::NodeId, _msg: M) {
-        if self.rounds == 0 {
-            return;
-        }
-        self.rounds -= 1;
-        let targets: Vec<repl_sim::NodeId> = self
-            .group
-            .iter()
-            .copied()
-            .filter(|&n| n != ctx.me())
-            .collect();
-        ctx.multicast(targets, (self.make)(self.ws));
-    }
-
-    repl_sim::impl_as_any!();
-}
-
-/// Runs one fan-out cell and returns nanoseconds of wall clock per
-/// simulator event (best of three runs).
-fn fanout_ns_per_event<M: repl_sim::Message>(group: u32, ws: usize, make: fn(usize) -> M) -> f64 {
-    use repl_sim::{NodeId, SimConfig, SimTime, World};
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let mut world = World::new(SimConfig::new(42).with_trace(false));
-        let nodes: Vec<NodeId> = (0..group).map(NodeId::new).collect();
-        for _ in 0..group {
-            world.add_actor(Box::new(FanOutActor {
-                group: nodes.clone(),
-                rounds: FANOUT_ROUNDS,
-                ws,
-                make,
-            }));
-        }
-        world.start();
-        let t0 = Instant::now();
-        world.run_to_quiescence(SimTime::from_ticks(u64::MAX / 2));
-        let wall = t0.elapsed().as_secs_f64();
-        let events = world.metrics().events_processed.max(1);
-        best = best.min(wall * 1e9 / events as f64);
-    }
-    best
-}
-
-/// Proves the payload-plane allocation contract end to end inside this
-/// process: after a warm-up round, one 7-way multicast of an
-/// arena-handle message — send, queueing and delivery — performs zero
-/// heap allocations. Mirrors `crates/sim/tests/no_alloc_multicast.rs`;
-/// the measured round fires exactly one timing-wheel period (64·64
-/// ticks) after its warm twin so both walk identical, pre-sized bucket
-/// paths.
-fn fanout_alloc_free() -> bool {
-    use repl_sim::{
-        Actor, Context, NetworkConfig, NodeId, SimConfig, SimDuration, SimTime, TimerId, World,
-    };
-    const WHEEL_PERIOD: u64 = 64 * 64;
-    struct Driver {
-        peers: Vec<NodeId>,
-    }
-    impl Actor<HandleWs> for Driver {
-        fn on_start(&mut self, ctx: &mut Context<'_, HandleWs>) {
-            ctx.set_timer(SimDuration::from_ticks(5_000), 0);
-            ctx.set_timer(SimDuration::from_ticks(5_000 + WHEEL_PERIOD), 1);
-        }
-        fn on_message(&mut self, _ctx: &mut Context<'_, HandleWs>, _from: NodeId, _msg: HandleWs) {}
-        fn on_timer(&mut self, ctx: &mut Context<'_, HandleWs>, _timer: TimerId, _tag: u64) {
-            let msg = HandleWs {
-                _start: 0,
-                len: 256,
-                _site: 0,
-            };
-            ctx.multicast(self.peers.iter().copied(), msg);
-        }
-        repl_sim::impl_as_any!();
-    }
-    struct Sink;
-    impl Actor<HandleWs> for Sink {
-        fn on_message(&mut self, _ctx: &mut Context<'_, HandleWs>, _from: NodeId, _msg: HandleWs) {}
-        repl_sim::impl_as_any!();
-    }
-    let net = NetworkConfig::lan()
-        .with_base_latency(SimDuration::from_ticks(500))
-        .with_jitter(SimDuration::ZERO);
-    let mut world: World<HandleWs> =
-        World::new(SimConfig::new(1).with_network(net).with_trace(false));
-    let peers: Vec<NodeId> = (1..=7).map(NodeId::new).collect();
-    world.add_actor(Box::new(Driver {
-        peers: peers.clone(),
-    }));
-    for _ in 0..7 {
-        world.add_actor(Box::new(Sink));
-    }
-    world.start();
-    world.run_until(SimTime::from_ticks(8_500)); // warm round done
-    let before = allocations();
-    world.run_until(SimTime::from_ticks(10_000)); // measured round done
-    allocations() == before
-}
-
-/// Renders the P14 arena section of the JSON artifact: the payload-plane
-/// study cells (arena vs inline allocations and wall clock, digest
-/// equality asserted in-study), the fan-out timing matrix (writeset size
-/// × group size, cloned-Vec vs arena-handle per-event cost), and the two
-/// gate keys the artifact check reads: `fanout_alloc_free` and the
-/// ≥25% per-event improvement at the largest cell.
-fn arena_json() -> String {
-    use std::fmt::Write as _;
-    let cells = payload_plane_study(&allocations);
-    let mut s = String::new();
-    let _ = writeln!(s, "  \"arena\": {{");
-    let _ = writeln!(s, "    \"servers\": 3,");
-    let _ = writeln!(s, "    \"clients\": 4,");
-    let _ = writeln!(s, "    \"ops_per_txn\": 4,");
-    let _ = writeln!(s, "    \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let saving = if c.inline_allocs_per_txn > 0.0 {
-            (1.0 - c.arena_allocs_per_txn / c.inline_allocs_per_txn) * 100.0
-        } else {
-            0.0
-        };
-        let _ = writeln!(
-            s,
-            "      {{\"technique\": \"{}\", \"txns\": {}, \"mean_response_ticks\": {}, \
-             \"messages_per_txn\": {:.2}, \"bytes_per_txn\": {:.0}, \
-             \"arena_allocs_per_txn\": {:.1}, \"inline_allocs_per_txn\": {:.1}, \
-             \"alloc_saving_pct\": {saving:.1}, \"arena_wall_ms\": {:.1}, \
-             \"inline_wall_ms\": {:.1}, \"digest_match\": true}}{}",
-            c.technique.name(),
-            c.ops_completed,
-            c.mean_ticks,
-            c.msgs_per_txn,
-            c.bytes_per_txn,
-            c.arena_allocs_per_txn,
-            c.inline_allocs_per_txn,
-            c.arena_wall_ms,
-            c.inline_wall_ms,
-            if i + 1 < cells.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(s, "    ],");
-    // Digest/trace equality is asserted inside payload_plane_study: the
-    // study reaching this line *is* the proof.
-    let _ = writeln!(s, "    \"digests_identical\": true,");
-    let _ = writeln!(s, "    \"fanout_rounds\": {FANOUT_ROUNDS},");
-    let _ = writeln!(s, "    \"fanout\": [");
-    let mut gate_pct = 0.0f64;
-    let n_cells = FANOUT_WS_SIZES.len() * FANOUT_GROUPS.len();
-    let mut i = 0;
-    for &ws in &FANOUT_WS_SIZES {
-        for &g in &FANOUT_GROUPS {
-            let vec_ns = fanout_ns_per_event(g, ws, |n| VecWs(vec![[7; 3]; n]));
-            let handle_ns = fanout_ns_per_event(g, ws, |n| HandleWs {
-                _start: 0,
-                len: n as u32,
-                _site: 0,
-            });
-            let improvement = (1.0 - handle_ns / vec_ns.max(f64::MIN_POSITIVE)) * 100.0;
-            if ws == 256 && g == 7 {
-                gate_pct = improvement;
-            }
-            i += 1;
-            let _ = writeln!(
-                s,
-                "      {{\"writeset\": {ws}, \"group\": {g}, \
-                 \"vec_ns_per_event\": {vec_ns:.1}, \"handle_ns_per_event\": {handle_ns:.1}, \
-                 \"improvement_pct\": {improvement:.1}}}{}",
-                if i < n_cells { "," } else { "" }
-            );
-        }
-    }
-    let _ = writeln!(s, "    ],");
-    let _ = writeln!(s, "    \"fanout_gate_pct\": {FANOUT_GATE_PCT:.0},");
-    let _ = writeln!(s, "    \"fanout_256x7_improvement_pct\": {gate_pct:.1},");
-    let _ = writeln!(
-        s,
-        "    \"fanout_256x7_gate\": {},",
-        gate_pct >= FANOUT_GATE_PCT
-    );
-    let _ = writeln!(s, "    \"fanout_alloc_free\": {}", fanout_alloc_free());
-    let _ = writeln!(s, "  }}");
-    s
-}
-
 /// Runs the benchmark matrix and renders `BENCH_PR10.json`.
 fn bench_json(threads: usize) -> String {
     use std::fmt::Write as _;
@@ -1390,10 +1105,6 @@ fn bench_json(threads: usize) -> String {
     s.truncate(end);
     s.push_str(",\n");
     s.push_str(&sharding_json(threads));
-    let end = s.trim_end().len();
-    s.truncate(end);
-    s.push_str(",\n");
-    s.push_str(&arena_json());
     let _ = writeln!(s, "}}");
     s
 }
@@ -1415,7 +1126,6 @@ fn main() {
         || args.p10_only
         || args.p12_only
         || args.p13_only
-        || args.p14_only
         || args.p15_only
         || args.p16_only
     {
@@ -1447,12 +1157,6 @@ fn main() {
             timed_table(
                 "P13 — open-loop scale (3 replicas, technique × clients × total offered rate)",
                 || open_loop_scale_table(&P13_TECHNIQUES, &P13_CLIENTS, &P13_RATES),
-            );
-        }
-        if args.p14_only {
-            timed_table(
-                "P14 — payload plane (3 replicas, arena vs inline payloads, digest-checked)",
-                || payload_plane_table(&allocations),
             );
         }
         if args.p15_only {
@@ -1543,10 +1247,6 @@ fn main() {
         timed_table(
             "P13 — open-loop scale (3 replicas, technique × clients × total offered rate)",
             || open_loop_scale_table(&P13_TECHNIQUES, &P13_CLIENTS, &P13_RATES),
-        );
-        timed_table(
-            "P14 — payload plane (3 replicas, arena vs inline payloads, digest-checked)",
-            || payload_plane_table(&allocations),
         );
         timed_table(
             "P15 — elasticity (3→7→3 mid-run per technique: join time, disturbance, steady gain)",

@@ -20,7 +20,7 @@ use repl_core::protocols::common::{AbcastImpl, ExecutionMode};
 use repl_core::{BatchConfig, DurabilityConfig, RunConfig, RunReport, Technique};
 use repl_db::DeadlockPolicy;
 use repl_sim::{NodeId, SimDuration, SimTime};
-use repl_workload::{CrashSchedule, FaultPlan, MembershipPlan, WorkloadSpec};
+use repl_workload::{FaultPlan, MembershipPlan, WorkloadSpec};
 
 pub mod kernel;
 pub mod sweep;
@@ -293,7 +293,7 @@ pub fn conflicts_table(skews: &[f64]) -> Vec<Row> {
 /// a *surviving* replica never notices the crash, while primary-copy
 /// techniques stall every client (they all depend on the dead primary).
 pub fn failover_table() -> Vec<Row> {
-    let crash = CrashSchedule::new().crash_at(SimTime::from_ticks(3_000), NodeId::new(0));
+    let crash = FaultPlan::new().crash_at(SimTime::from_ticks(3_000), NodeId::new(0));
     let techniques = [
         Technique::Active,
         Technique::SemiActive,
@@ -309,7 +309,7 @@ pub fn failover_table() -> Vec<Row> {
             .with_seed(113)
             .with_trace(false)
             .with_abcast(AbcastImpl::Consensus)
-            .with_crashes(crash.clone())
+            .with_faults(crash.clone())
             .with_workload(update_workload(10));
         if technique == Technique::SemiActive {
             cfg = cfg.with_exec(ExecutionMode::NonDeterministic);
@@ -1146,173 +1146,6 @@ pub fn open_loop_scale_table(
                 .cell("p99", format!("{}t", hist.percentile(0.99).ticks()))
                 .cell("peak-out", report.peak_outstanding)
                 .cell("hist KiB", hist.memory_bytes() / 1024)
-        })
-        .collect()
-}
-
-/// One technique's measurements from the P14 payload-plane study: the
-/// same run executed with arena-handle payloads and with inline
-/// (`Arc<WriteSet>`) payloads, plus the equality verdicts the study
-/// asserts in-line (a digest or trace divergence panics the study — the
-/// arena is a representation change and must be observationally
-/// invisible).
-#[derive(Debug, Clone)]
-pub struct PayloadPlaneCell {
-    /// The technique under test.
-    pub technique: Technique,
-    /// Committed transactions (identical between representations).
-    pub ops_completed: u64,
-    /// Mean response time in ticks (identical between representations).
-    pub mean_ticks: u64,
-    /// Messages per transaction (identical between representations).
-    pub msgs_per_txn: f64,
-    /// Wire bytes per transaction (identical between representations —
-    /// handles are charged at full logical size per leg).
-    pub bytes_per_txn: f64,
-    /// Heap allocations per transaction with the arena enabled
-    /// (0 when no counting allocator is installed).
-    pub arena_allocs_per_txn: f64,
-    /// Heap allocations per transaction with inline payloads.
-    pub inline_allocs_per_txn: f64,
-    /// Wall-clock milliseconds of the arena run.
-    pub arena_wall_ms: f64,
-    /// Wall-clock milliseconds of the inline run.
-    pub inline_wall_ms: f64,
-}
-
-/// The techniques whose protocol messages ship writesets (and therefore
-/// exercise the payload arena); the other four ship full transactions or
-/// decisions and are covered by the equivalence suite instead.
-pub fn payload_plane_techniques() -> Vec<Technique> {
-    vec![
-        Technique::Passive,
-        Technique::SemiPassive,
-        Technique::EagerPrimary,
-        Technique::LazyPrimary,
-        Technique::LazyUpdateEverywhere,
-        Technique::Certification,
-    ]
-}
-
-/// The run configuration of one P14 cell: multi-operation update
-/// transactions so every commit ships a real multi-record writeset.
-pub fn payload_plane_cfg(technique: Technique, arena: bool) -> RunConfig {
-    let mut cfg = RunConfig::new(technique)
-        .with_servers(3)
-        .with_clients(4)
-        .with_seed(171)
-        .with_trace(true)
-        .with_payload_arena(arena)
-        .with_workload(
-            WorkloadSpec::default()
-                .with_items(64)
-                .with_read_ratio(0.0)
-                .with_ops_per_txn(4)
-                .with_txns_per_client(10)
-                .with_think_time(SimDuration::from_ticks(200)),
-        );
-    if technique.info().propagation == repl_core::Propagation::Lazy {
-        cfg = cfg.with_propagation_delay(SimDuration::from_ticks(1_000));
-    }
-    cfg
-}
-
-/// Runs the P14 payload-plane study: every writeset-shipping technique
-/// twice — arena handles vs inline payloads — asserting digest and
-/// trace-hash equality between the two, and measuring what the arena is
-/// allowed to change: allocations and wall clock.
-///
-/// `alloc_count` reads the process-wide allocation counter when the
-/// caller (the `perfstudy` binary) has installed a counting global
-/// allocator; pass `&|| 0` otherwise and the allocation columns read 0.
-/// Cells run serially on the calling thread so the counter diffs are
-/// attributable.
-pub fn payload_plane_study(alloc_count: &dyn Fn() -> u64) -> Vec<PayloadPlaneCell> {
-    use std::time::Instant;
-    let mut cells = Vec::new();
-    for technique in payload_plane_techniques() {
-        // Equality pass, traced: the digest covers every counter and
-        // latency sample, the trace hash covers event-level ordering.
-        let arena = repl_core::run(&payload_plane_cfg(technique, true));
-        let inline = repl_core::run(&payload_plane_cfg(technique, false));
-        assert_eq!(
-            arena.digest(),
-            inline.digest(),
-            "P14 {}: arena and inline payloads must produce identical digests",
-            technique.name()
-        );
-        assert_eq!(
-            arena.trace_hash,
-            inline.trace_hash,
-            "P14 {}: arena and inline payloads must produce identical traces",
-            technique.name()
-        );
-        assert!(arena.ops_completed > 0, "P14 {}: no work", technique.name());
-        // Measurement pass, lean (trace off): tracing allocates one
-        // record per event and would drown the payload-plane signal.
-        let timed = |on: bool| {
-            let cfg = payload_plane_cfg(technique, on).with_trace(false);
-            let a0 = alloc_count();
-            let t0 = Instant::now();
-            let report = repl_core::run(&cfg);
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            (report, alloc_count() - a0, wall_ms)
-        };
-        let (lean_arena, arena_allocs, arena_wall_ms) = timed(true);
-        let (lean_inline, inline_allocs, inline_wall_ms) = timed(false);
-        assert_eq!(
-            lean_arena.digest(),
-            lean_inline.digest(),
-            "P14 {}: lean-mode digests must agree too",
-            technique.name()
-        );
-        let per_txn = |n: u64| n as f64 / arena.ops_completed.max(1) as f64;
-        cells.push(PayloadPlaneCell {
-            technique,
-            ops_completed: arena.ops_completed,
-            mean_ticks: arena.latencies.mean().ticks(),
-            msgs_per_txn: arena.messages_per_op(),
-            bytes_per_txn: per_txn(arena.messages.bytes_sent),
-            arena_allocs_per_txn: per_txn(arena_allocs),
-            inline_allocs_per_txn: per_txn(inline_allocs),
-            arena_wall_ms,
-            inline_wall_ms,
-        });
-    }
-    cells
-}
-
-/// P14 — the payload-plane study: per writeset-shipping technique, the
-/// (identical) simulation observables plus the two things the arena may
-/// change — heap allocations per transaction and wall clock. The digest
-/// and trace equality between the representations is asserted inside
-/// [`payload_plane_study`]; a printed row is proof the cell passed.
-pub fn payload_plane_table(alloc_count: &dyn Fn() -> u64) -> Vec<Row> {
-    payload_plane_study(alloc_count)
-        .into_iter()
-        .map(|c| {
-            Row::new(c.technique.name())
-                .cell("txns", c.ops_completed)
-                .cell("mean", format!("{}t", c.mean_ticks))
-                .cell("msgs/txn", format!("{:.1}", c.msgs_per_txn))
-                .cell("B/txn", format!("{:.0}", c.bytes_per_txn))
-                .cell("allocs/txn arena", format!("{:.1}", c.arena_allocs_per_txn))
-                .cell(
-                    "allocs/txn inline",
-                    format!("{:.1}", c.inline_allocs_per_txn),
-                )
-                .cell(
-                    "alloc saving",
-                    if c.inline_allocs_per_txn > 0.0 {
-                        format!(
-                            "{:.0}%",
-                            (1.0 - c.arena_allocs_per_txn / c.inline_allocs_per_txn) * 100.0
-                        )
-                    } else {
-                        "-".into()
-                    },
-                )
-                .cell("digest", "==")
         })
         .collect()
 }

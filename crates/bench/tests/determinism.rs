@@ -13,6 +13,8 @@
 use repl_bench::sweep::{run_sweep, SweepCell};
 use repl_bench::update_workload;
 use repl_core::{RunConfig, Technique};
+use repl_sim::{NodeId, SimDuration, SimTime};
+use repl_workload::{FaultPlan, WorkloadSpec};
 
 fn study_cells() -> Vec<SweepCell> {
     let mut cells = Vec::new();
@@ -341,4 +343,104 @@ fn thread_count_is_not_observable() {
         assert_eq!(xr.digest(), yr.digest(), "cell `{}` diverged", x.label);
         assert_eq!(xr.trace_hash, yr.trace_hash, "cell `{}` diverged", x.label);
     }
+}
+
+/// The techniques whose protocol messages ship writesets.
+const WRITESET_TECHNIQUES: [Technique; 6] = [
+    Technique::Passive,
+    Technique::SemiPassive,
+    Technique::EagerPrimary,
+    Technique::LazyPrimary,
+    Technique::LazyUpdateEverywhere,
+    Technique::Certification,
+];
+
+/// One crash→recover outage cell per writeset-shipping technique:
+/// replica 2 is down from tick 5 000 to tick 25 000, so the recovering
+/// replica rejoins through state transfer while writesets keep flowing.
+fn outage_cells() -> Vec<SweepCell> {
+    let plan = FaultPlan::new().outage_at(
+        SimTime::from_ticks(5_000),
+        NodeId::new(2),
+        SimDuration::from_ticks(20_000),
+    );
+    WRITESET_TECHNIQUES
+        .iter()
+        .map(|&technique| {
+            SweepCell::new(
+                format!("{}/outage", technique.name()),
+                RunConfig::new(technique)
+                    .with_servers(3)
+                    .with_clients(2)
+                    .with_seed(23)
+                    .with_trace(true)
+                    .with_retry_after(SimDuration::from_ticks(4_000))
+                    .with_faults(plan.clone())
+                    .with_workload(
+                        WorkloadSpec::default()
+                            .with_items(16)
+                            .with_read_ratio(0.25)
+                            .with_txns_per_client(6)
+                            .with_think_time(SimDuration::from_ticks(150)),
+                    ),
+            )
+        })
+        .collect()
+}
+
+/// `(label, digest(), trace_hash)` for every `study_cells` cell and every
+/// `outage_cells` cell, as computed by the code before the writeset
+/// representation was reduced to one `Arc<WriteSet>` path. A refactor
+/// that claims to preserve behaviour must leave every row unchanged.
+#[rustfmt::skip]
+const PINNED: &[(&str, u64, u64)] = &[
+    ("Active/seed=11", 0x704eec45dceb1f1c, 0x37da9284ce3dc92e),
+    ("Active/seed=8675309", 0xfb763ead40a1f987, 0x99f6a3caa2580b93),
+    ("Passive/seed=11", 0x47d3ffb9693de183, 0x7f7bef35a0c56699),
+    ("Passive/seed=8675309", 0xa976d3d809960ee8, 0x31cb16d2f93ed047),
+    ("Semi-Active/seed=11", 0x6ada1c57fa9511eb, 0xa8a12cf60e225598),
+    ("Semi-Active/seed=8675309", 0xa87a57fb7df47cf2, 0xa55c7c84085ef463),
+    ("Semi-Passive/seed=11", 0x3981f7dba129d6c3, 0x9d5c08c68c720f46),
+    ("Semi-Passive/seed=8675309", 0xc434ade01030f307, 0xfd9addc0feaa2fe5),
+    ("Eager Primary Copy/seed=11", 0xa3e93bfc9f4ed59c, 0xd4be1844a74094f7),
+    ("Eager Primary Copy/seed=8675309", 0x2a503f0c08e4b1a2, 0x10ece1ee97ab6e91),
+    ("Eager UE (Distributed Locking)/seed=11", 0x18f6f7fe78b4ed6c, 0x75c13defc84ab66e),
+    ("Eager UE (Distributed Locking)/seed=8675309", 0x3d7dd36a43417c1f, 0x8aa94f3d9004b24b),
+    ("Eager UE (ABCAST)/seed=11", 0xb09634d25489f409, 0x7c43710eeabf1d6c),
+    ("Eager UE (ABCAST)/seed=8675309", 0xfe4706a8321e9d77, 0x88afedf1bf36fa72),
+    ("Lazy Primary Copy/seed=11", 0x65199f5a9c6fde18, 0x0346f753830c50a6),
+    ("Lazy Primary Copy/seed=8675309", 0xf8e60baba94f0a01, 0x15d121cf605a4185),
+    ("Lazy Update Everywhere/seed=11", 0xc793e810b66ee9be, 0x8fc926a5579ef9c8),
+    ("Lazy Update Everywhere/seed=8675309", 0xf08d2190593d76ed, 0x9898aad37e620820),
+    ("Certification Based/seed=11", 0x45d3731bfe69ad88, 0x47b2f2df0a6a0e75),
+    ("Certification Based/seed=8675309", 0xc7c966c1a7c85e93, 0x39e5b1c4de48cfe4),
+    ("Passive/outage", 0xfb2b73c888e30345, 0x2ff66187994c450c),
+    ("Semi-Passive/outage", 0x7526c95e96c88393, 0x8b45ac390d05b519),
+    ("Eager Primary Copy/outage", 0x6cfbe9f2c6db4ac6, 0xf06f2d3a5ee4367e),
+    ("Lazy Primary Copy/outage", 0x8ceeeb36ee9986ea, 0xc0723584a75410e4),
+    ("Lazy Update Everywhere/outage", 0xb398810fe53105ec, 0xd590e8d8831efa2d),
+    ("Certification Based/outage", 0x209b5893e9ddee11, 0x7c8b708de83783ae),
+];
+
+#[test]
+fn digests_and_trace_hashes_match_the_pinned_table() {
+    let cells: Vec<SweepCell> = study_cells().into_iter().chain(outage_cells()).collect();
+    let got: Vec<(String, u64, u64)> = run_sweep(&cells, 2)
+        .into_iter()
+        .map(|c| {
+            let r = c
+                .result
+                .unwrap_or_else(|e| panic!("cell `{}` failed: {e}", c.label));
+            (c.label, r.digest(), r.trace_hash)
+        })
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(l, d, t)| format!("    (\"{l}\", {d:#018x}, {t:#018x}),\n"))
+        .collect();
+    let want: Vec<(String, u64, u64)> = PINNED
+        .iter()
+        .map(|&(l, d, t)| (l.to_string(), d, t))
+        .collect();
+    assert_eq!(got, want, "pinned digests moved; computed table:\n{table}");
 }

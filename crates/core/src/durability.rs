@@ -14,7 +14,7 @@
 //! do not travel the simulated network, and a disabled tier leaves a
 //! run bit-for-bit unchanged (the digest-identity tests pin this).
 
-use repl_db::{DurableRestore, TxnId, WriteRecord, WriteSet};
+use repl_db::{DurableRestore, TxnId, WriteSet};
 use repl_sim::{ObjectStore, ObjectStoreConfig};
 
 /// Configuration of one run's durable log tier.
@@ -165,19 +165,6 @@ impl DurabilityTier {
     pub fn note_commit(&mut self, ws: &WriteSet) {
         if !self.restoring {
             self.pending.push(ws.clone());
-        }
-    }
-
-    /// [`DurabilityTier::note_commit`] over any record stream — the
-    /// payload plane's entry point. The tier retains sealed frames by
-    /// value, so this materializes (the only such allocation on the
-    /// arena path; tiers are absent in lean open-loop runs).
-    pub fn note_commit_records(&mut self, txn: TxnId, records: impl Iterator<Item = WriteRecord>) {
-        if !self.restoring {
-            self.pending.push(WriteSet {
-                txn,
-                writes: records.collect(),
-            });
         }
     }
 

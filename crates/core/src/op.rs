@@ -194,7 +194,7 @@ mod tests {
         assert_eq!(resp(0).wire_size(), 16);
         assert_eq!(resp(3).wire_size(), 16 + 3 * 16);
         // Writesets share the same helper family (24 bytes per record,
-        // 16-byte header), and both payload representations agree.
+        // 16-byte header).
         assert_eq!(wire::writeset_bytes(0), 16);
         assert_eq!(wire::writeset_bytes(256), 16 + 256 * 24);
     }

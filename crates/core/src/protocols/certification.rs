@@ -17,8 +17,9 @@
 //! experiment sweeps the abort rate).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use repl_db::{Certifier, Key, Keyspace, WriteRecord, WriteSet, WsPayload};
+use repl_db::{Certifier, Key, Keyspace, WriteRecord, WriteSet};
 use repl_gcs::{BatchConfig, Outbox};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 use repl_workload::OpTemplate;
@@ -41,8 +42,8 @@ pub struct CertRequest {
     pub op: ClientOp,
     /// Versions read during shadow execution.
     pub read_set: Vec<(Key, u64)>,
-    /// Buffered writes (arena handle or `Arc`-shared inline).
-    pub ws: WsPayload,
+    /// Buffered writes (`Arc`-shared across the broadcast's legs).
+    pub ws: Arc<WriteSet>,
     /// The response computed during shadow execution.
     pub resp: Response,
     /// The delegate (answers the client).
@@ -106,8 +107,6 @@ pub struct CertServer {
     /// The deterministic certification state (identical at all sites).
     pub certifier: Certifier,
     relayed: HashSet<OpId>,
-    /// Group size: every member consumes each certification request once.
-    peers: u32,
     marks: bool,
     /// Elastic-membership lifecycle (dormant without a membership plan).
     pub elastic: Elastic,
@@ -128,7 +127,6 @@ impl CertServer {
         CertServer {
             base: ServerBase::new(site, ks, exec),
             me,
-            peers: group.len() as u32,
             ab: AbcastEndpoint::new(abcast, me, group.clone(), cons),
             certifier: Certifier::with_keyspace(ks),
             relayed: HashSet::new(),
@@ -159,49 +157,41 @@ impl CertServer {
             let req = d.payload;
             let op_id = req.op.id;
             if self.base.cached(op_id).is_some() || self.elastic.answered.contains(&op_id) {
-                self.base.release_payload(&req.ws); // duplicate delivery
-                continue;
+                continue; // duplicate delivery
             }
             if self.marks {
                 ctx.mark(Phase::ServerCoordination.tag(), op_id.0, d.gseq);
                 ctx.mark(Phase::AgreementCoordination.tag(), op_id.0, 0);
             }
             let txn = global_txn(op_id);
-            let arena = self.base.arena.clone();
-            let verdict = req.ws.with(arena.as_ref(), |view| {
-                self.certifier
-                    .certify_records(&req.read_set, txn, view.iter())
-            });
+            let verdict = self.certifier.certify(&req.read_set, &req.ws);
             let resp = if verdict.is_commit() {
                 // Install the writes; local versions track the certifier's
                 // counters because every site applies the same stream. The
                 // durable tier gets the store-assigned versions (not the
                 // shadow's), so a restore reproduces them exactly — it is
-                // the only consumer of the materialized records, so the
+                // the only consumer of the applied records, so the
                 // collection is skipped entirely on untiered runs.
-                let noted = req.ws.with(arena.as_ref(), |view| {
-                    let mut noted = self.base.tier.is_some().then(|| WriteSet {
-                        txn,
-                        writes: Vec::with_capacity(view.len()),
-                    });
-                    for w in view.iter() {
-                        let v = self.base.store.write(w.key, w.value, txn);
-                        if let Some(applied) = &mut noted {
-                            applied.writes.push(WriteRecord {
-                                key: w.key,
-                                value: w.value,
-                                version: v.version,
-                            });
-                        }
-                        self.base.history.record(
-                            self.base.site,
-                            txn,
-                            w.key,
-                            repl_db::AccessKind::Write,
-                        );
-                    }
-                    noted
+                let mut noted = self.base.tier.is_some().then(|| WriteSet {
+                    txn,
+                    writes: Vec::with_capacity(req.ws.writes.len()),
                 });
+                for w in &req.ws.writes {
+                    let v = self.base.store.write(w.key, w.value, txn);
+                    if let Some(applied) = &mut noted {
+                        applied.writes.push(WriteRecord {
+                            key: w.key,
+                            value: w.value,
+                            version: v.version,
+                        });
+                    }
+                    self.base.history.record(
+                        self.base.site,
+                        txn,
+                        w.key,
+                        repl_db::AccessKind::Write,
+                    );
+                }
                 if let (Some(t), Some(applied)) = (&mut self.base.tier, noted) {
                     t.note_commit(&applied);
                 }
@@ -220,7 +210,6 @@ impl CertServer {
                 self.base.aborted += 1;
                 Response::aborted(op_id)
             };
-            self.base.release_payload(&req.ws);
             self.base.remember(&resp);
             if req.delegate == self.me {
                 ctx.send(req.op.client, CertMsg::Reply(resp));
@@ -288,7 +277,7 @@ impl CertServer {
         let req = CertRequest {
             op,
             read_set,
-            ws: self.base.make_payload(ws, self.peers),
+            ws: Arc::new(ws),
             resp,
             delegate: self.me,
         };
@@ -320,7 +309,6 @@ impl CertServer {
                 // every ordered request after this point reaches the
                 // joiner, everything before is in the snapshot.
                 self.elastic.admit(from);
-                self.peers = self.elastic.servers.len() as u32;
                 self.ab.set_group(self.elastic.servers.clone());
                 for &n in &self.elastic.servers {
                     if n != self.elastic.me && n != from {
@@ -346,7 +334,6 @@ impl CertServer {
             }
             MemberMsg::ViewAdd { servers } => {
                 self.elastic.install(servers);
-                self.peers = self.elastic.servers.len() as u32;
                 self.ab.set_group(self.elastic.servers.clone());
             }
             MemberMsg::ViewAck { .. } => {}
@@ -362,7 +349,6 @@ impl CertServer {
                 }
                 self.elastic.joining = false;
                 self.elastic.install(servers);
-                self.peers = self.elastic.servers.len() as u32;
                 self.ab.set_group(self.elastic.servers.clone());
                 if let Some(t) = transfer {
                     self.base.install_transfer(&t);
@@ -377,7 +363,6 @@ impl CertServer {
             }
             MemberMsg::ViewDrop { node } => {
                 self.elastic.remove(node);
-                self.peers = self.elastic.servers.len() as u32;
                 self.ab.set_group(self.elastic.servers.clone());
             }
             MemberMsg::Reroute { .. } => {}
@@ -412,7 +397,6 @@ impl CertServer {
             );
         }
         self.elastic.servers = remaining;
-        self.peers = self.elastic.servers.len() as u32;
         self.elastic.drain = DrainState::Retired;
     }
 }

@@ -3,9 +3,8 @@
 //! Atomic Broadcast endpoint, and execution-mode handling.
 
 use repl_db::{
-    AccessKind, FxHashMap, Key, Keyspace, RecoveryTracker, ReplicatedHistory, ShadowStore,
-    SharedArena, Store, Transfer, TransferStrategy, TxnId, TxnManager, Value, Versioned,
-    WriteRecord, WriteSet, WsPayload,
+    AccessKind, FxHashMap, Key, Keyspace, RecoveryTracker, ReplicatedHistory, ShadowStore, Store,
+    Transfer, TransferStrategy, TxnId, TxnManager, Value, Versioned, WriteRecord, WriteSet,
 };
 use repl_gcs::{
     AbDeliver, BatchConfig, CAbMsg, ConsensusAbcast, ConsensusConfig, GenuineMulticast, GmMsg,
@@ -683,8 +682,6 @@ pub struct ServerBase {
     pub tier: Option<DurabilityTier>,
     /// Volume-loss disasters survived by this server.
     pub volume_wipes: u64,
-    /// The run's shared payload arena (None keeps every payload inline).
-    pub arena: Option<SharedArena>,
     /// Set by an untiered wipe; a restore-from-scratch is pending.
     bare_wipe: bool,
     /// Lean mode: skip the per-operation history records and the
@@ -713,7 +710,6 @@ impl ServerBase {
             recovery: RecoveryTracker::default(),
             tier: None,
             volume_wipes: 0,
-            arena: None,
             bare_wipe: false,
             lean: false,
         }
@@ -743,65 +739,6 @@ impl ServerBase {
         if cfg.enabled {
             self.tier = Some(DurabilityTier::new(cfg, self.keyspace(), fsync_ticks));
         }
-    }
-
-    /// Attaches the run's shared payload arena. With one attached,
-    /// [`ServerBase::make_payload`] interns disseminated writesets into
-    /// it instead of shipping them inline.
-    pub fn set_arena(&mut self, arena: Option<SharedArena>) {
-        self.arena = arena;
-    }
-
-    /// Wraps a writeset for dissemination. With an arena attached and a
-    /// positive consumer count the records are interned once and the
-    /// message carries a 16-byte handle; otherwise the writeset ships
-    /// inline (`Arc`-shared). Wire accounting is identical either way.
-    pub fn make_payload(&mut self, ws: WriteSet, expected: u32) -> WsPayload {
-        match (&self.arena, expected) {
-            (Some(arena), 1..) => WsPayload::Arena(arena.borrow_mut().intern(&ws, expected)),
-            _ => WsPayload::inline(ws),
-        }
-    }
-
-    /// [`ServerBase::install_writeset`] for a payload: installs through
-    /// the borrow view, so an arena-backed payload is applied without
-    /// materializing its records (allocation-free on lean untiered
-    /// servers). Does not release the payload — consumption and release
-    /// are separate because some protocols read a handle more than once
-    /// before their last use.
-    pub fn install_payload(&mut self, p: &WsPayload) {
-        let arena = self.arena.clone();
-        p.with(arena.as_ref(), |view| {
-            let txn = view.txn();
-            if !self.lean {
-                for w in view.iter() {
-                    self.history
-                        .record(self.site, txn, w.key, AccessKind::Write);
-                }
-                self.history.mark_committed(txn);
-            }
-            self.store.apply_records(txn, view.iter());
-            self.committed += 1;
-            if let Some(t) = &mut self.tier {
-                t.note_commit_records(txn, view.iter());
-            }
-        });
-    }
-
-    /// Records this site's release of an arena-backed payload (a no-op
-    /// for inline payloads). Call exactly when the site will not read
-    /// the handle again; the span is retired once every expected site
-    /// has released it.
-    pub fn release_payload(&mut self, p: &WsPayload) {
-        if let (WsPayload::Arena(r), Some(arena)) = (p, &self.arena) {
-            arena.borrow_mut().release(*r, self.site);
-        }
-    }
-
-    /// Materializes a payload into an owned writeset, for retained
-    /// structures (redo logs, resend buffers, state transfer).
-    pub fn materialize_payload(&self, p: &WsPayload) -> WriteSet {
-        p.materialize(self.arena.as_ref())
     }
 
     /// Seals the commits of the event just processed into a durable

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use repl_db::{
     Acquire, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, RedoLog, TpcCoordinator,
-    TpcDecision, Transfer, TransferStrategy, TxnId, Value, WriteSet, WsPayload,
+    TpcDecision, Transfer, TransferStrategy, TxnId, Value, WriteSet,
 };
 use repl_gcs::{BatchConfig, Component, FdConfig, FdEvent, FdMsg, HeartbeatFd, Outbox};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
@@ -45,9 +45,8 @@ pub enum EagerPrimaryMsg {
         txn: TxnId,
         /// Which operation of the transaction this is.
         step: u32,
-        /// The log records of this step (an arena handle when a payload
-        /// arena is attached, so the fan-out copies 16 bytes per leg).
-        ws: WsPayload,
+        /// The log records of this step (`Arc`-shared across the fan-out).
+        ws: Arc<WriteSet>,
     },
     /// Secondary → primary: step applied.
     PropAck {
@@ -61,9 +60,8 @@ pub enum EagerPrimaryMsg {
     Prepare {
         /// The transaction.
         txn: TxnId,
-        /// The full writeset (empty if already propagated step-wise;
-        /// an arena handle when a payload arena is attached).
-        ws: WsPayload,
+        /// The full writeset (empty if already propagated step-wise).
+        ws: Arc<WriteSet>,
         /// The response, cached by secondaries for retried clients.
         resp: Response,
     },
@@ -117,17 +115,6 @@ impl Message for EagerPrimaryMsg {
             EagerPrimaryMsg::SyncReq(_) => 16,
             EagerPrimaryMsg::SyncData(t) => 8 + t.wire_size(),
             EagerPrimaryMsg::Member(m) => 8 + m.wire_size(),
-        }
-    }
-
-    fn clone_is_cheap(&self) -> bool {
-        match self {
-            EagerPrimaryMsg::Propagate { ws, .. } => ws.clone_is_cheap(),
-            EagerPrimaryMsg::Prepare { ws, resp, .. } => {
-                ws.clone_is_cheap() && resp.reads.is_empty()
-            }
-            EagerPrimaryMsg::DecisionBatch { .. } => true,
-            _ => false,
         }
     }
 }
@@ -454,17 +441,14 @@ impl EagerPrimaryServer {
                     if total > 1 {
                         let step_no = (t.step - 1) as u32;
                         if !secondaries.is_empty() {
-                            let ws = self.base.make_payload(
-                                WriteSet {
-                                    txn,
-                                    writes: vec![repl_db::WriteRecord {
-                                        key: k,
-                                        value: v,
-                                        version: after.version,
-                                    }],
-                                },
-                                secondaries.len() as u32,
-                            );
+                            let ws = Arc::new(WriteSet {
+                                txn,
+                                writes: vec![repl_db::WriteRecord {
+                                    key: k,
+                                    value: v,
+                                    version: after.version,
+                                }],
+                            });
                             if self.marks {
                                 ctx.mark(
                                     Phase::AgreementCoordination.tag(),
@@ -546,8 +530,7 @@ impl EagerPrimaryServer {
         // locally only at decision time); for multi-op it was already
         // propagated step-wise.
         t.phase = TxnPhase::Committing(coord);
-        let full_ws = self.pending_writeset(txn);
-        let ws = self.base.make_payload(full_ws, secondaries.len() as u32);
+        let ws = Arc::new(self.pending_writeset(txn));
         for s in secondaries {
             ctx.send(
                 s,
@@ -557,6 +540,21 @@ impl EagerPrimaryServer {
                     resp: resp.clone(),
                 },
             );
+        }
+    }
+
+    /// Secondary side of Propagate/Prepare: applies the primary's
+    /// records tentatively (undo-able until the decision arrives).
+    fn apply_tentative(&mut self, txn: TxnId, ws: &WriteSet) {
+        self.base.tm.begin(txn);
+        for w in &ws.writes {
+            let _ = self
+                .base
+                .tm
+                .write(&mut self.base.store, txn, w.key, w.value);
+            self.base
+                .history
+                .record(self.base.site, txn, w.key, repl_db::AccessKind::Write);
         }
     }
 
@@ -1015,29 +1013,10 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
             }
             EagerPrimaryMsg::Propagate { txn, step, ws } => {
                 if self.recovering {
-                    // The primary is not awaiting us while excluded. The
-                    // skipped release leaks the span safely: recovery only
-                    // happens in fault runs, which disarm arena GC.
-                    return;
+                    return; // the primary is not awaiting us while excluded
                 }
                 // Secondary: apply tentatively (undo-able).
-                self.base.tm.begin(txn);
-                let arena = self.base.arena.clone();
-                ws.with(arena.as_ref(), |view| {
-                    for w in view.iter() {
-                        let _ = self
-                            .base
-                            .tm
-                            .write(&mut self.base.store, txn, w.key, w.value);
-                        self.base.history.record(
-                            self.base.site,
-                            txn,
-                            w.key,
-                            repl_db::AccessKind::Write,
-                        );
-                    }
-                });
-                self.base.release_payload(&ws);
+                self.apply_tentative(txn, &ws);
                 self.tentative.entry(txn).or_insert((OpId(0), None));
                 ctx.send(from, EagerPrimaryMsg::PropAck { txn, step });
             }
@@ -1064,23 +1043,7 @@ impl Actor<EagerPrimaryMsg> for EagerPrimaryServer {
                 }
                 // Secondary: apply the (single-op) writeset tentatively,
                 // remember the response, vote.
-                self.base.tm.begin(txn);
-                let arena = self.base.arena.clone();
-                ws.with(arena.as_ref(), |view| {
-                    for w in view.iter() {
-                        let _ = self
-                            .base
-                            .tm
-                            .write(&mut self.base.store, txn, w.key, w.value);
-                        self.base.history.record(
-                            self.base.site,
-                            txn,
-                            w.key,
-                            repl_db::AccessKind::Write,
-                        );
-                    }
-                });
-                self.base.release_payload(&ws);
+                self.apply_tentative(txn, &ws);
                 self.tentative.insert(txn, (resp.op, Some(resp)));
                 ctx.send(from, EagerPrimaryMsg::Vote { txn, yes: true });
             }

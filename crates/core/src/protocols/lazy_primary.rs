@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 
-use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSet, WsPayload};
+use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSet};
 use repl_gcs::BatchConfig;
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 use repl_workload::OpTemplate;
@@ -44,14 +44,14 @@ pub enum LazyPrimaryMsg {
     /// Client → server (updates forwarded to the primary, reads local).
     Invoke(ClientOp),
     /// Primary → secondaries: committed writesets, in commit order.
-    /// The writeset rides the payload plane (arena handle or `Arc`-shared
-    /// inline) so the per-secondary fan-out clones a handle, not the
-    /// records; `wire_size` still charges the full logical size.
+    /// The writeset is `Arc`-shared so the per-secondary fan-out clones
+    /// a pointer, not the records; `wire_size` still charges the full
+    /// logical size.
     Propagate {
         /// Position in the primary's redo log.
         idx: u64,
         /// The committed redo records.
-        ws: WsPayload,
+        ws: Arc<WriteSet>,
     },
     /// Primary → secondaries: one batching window's worth of committed
     /// writesets, group-committed to the WAL with one force and shipped
@@ -88,12 +88,6 @@ impl Message for LazyPrimaryMsg {
             LazyPrimaryMsg::CatchUpData(t) => 8 + t.wire_size(),
             LazyPrimaryMsg::Reply(r) => 8 + r.wire_size(),
             LazyPrimaryMsg::Member(m) => 8 + m.wire_size(),
-        }
-    }
-    fn clone_is_cheap(&self) -> bool {
-        match self {
-            LazyPrimaryMsg::Propagate { ws, .. } => ws.clone_is_cheap(),
-            _ => false,
         }
     }
 }
@@ -242,7 +236,7 @@ impl LazyPrimaryServer {
                 ctx.mark(Phase::AgreementCoordination.tag(), op.0, 0);
             }
             let idx = self.log.append(ws.clone()) as u64;
-            let ws = self.base.make_payload(ws, (self.servers.len() - 1) as u32);
+            let ws = Arc::new(ws);
             for &s in &self.servers {
                 if s != self.me {
                     ctx.send(
@@ -336,9 +330,9 @@ impl LazyPrimaryServer {
             } else {
                 self.propagation_delay.ticks()
             };
-            if self.batching.enabled() && self.outbound.len() >= self.batching.max_batch {
-                self.flush(ctx);
-            } else if delay_ticks == 0 {
+            let batch_full =
+                self.batching.enabled() && self.outbound.len() >= self.batching.max_batch;
+            if batch_full || delay_ticks == 0 {
                 self.flush(ctx);
             } else if !self.flush_armed {
                 self.flush_armed = true;
@@ -563,15 +557,10 @@ impl Actor<LazyPrimaryMsg> for LazyPrimaryServer {
             LazyPrimaryMsg::Propagate { idx, ws } => {
                 // Secondary: install in log order; on a gap (messages sent
                 // while this secondary was crashed), ask for the suffix.
-                // The handle is consumed either way — catch-up ships a
-                // Transfer and never re-reads it.
-                let next = idx == self.applied;
-                if next {
-                    self.base.install_payload(&ws);
+                if idx == self.applied {
+                    self.base.install_writeset(&ws);
                     self.applied += 1;
-                }
-                self.base.release_payload(&ws);
-                if !next && idx > self.applied {
+                } else if idx > self.applied {
                     let primary = self.primary();
                     ctx.send(primary, LazyPrimaryMsg::CatchUpReq { have: self.applied });
                 }

@@ -23,10 +23,9 @@
 //! sweeps them.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use repl_db::{
-    Key, Keyspace, TransferStrategy, TxnId, Value, WriteRecord, WriteSet, WsPayload, WsView,
-};
+use repl_db::{Key, Keyspace, TransferStrategy, TxnId, Value, WriteRecord, WriteSet};
 use repl_gcs::Outbox;
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 use repl_workload::OpTemplate;
@@ -57,14 +56,11 @@ pub enum ReconcileMode {
 /// them for performance, not fault tolerance), so the cheap primitive is
 /// the right default here.
 #[derive(Debug, Clone)]
-pub struct OrderedWs(pub WsPayload);
+pub struct OrderedWs(pub Arc<WriteSet>);
 
 impl Message for OrderedWs {
     fn wire_size(&self) -> usize {
         self.0.wire_size()
-    }
-    fn clone_is_cheap(&self) -> bool {
-        self.0.clone_is_cheap()
     }
 }
 
@@ -75,8 +71,8 @@ pub enum LazyUeMsg {
     Invoke(ClientOp),
     /// Server → all other servers, after commit.
     Propagate {
-        /// The committed redo records (arena handle or inline).
-        ws: WsPayload,
+        /// The committed redo records (`Arc`-shared across peers).
+        ws: Arc<WriteSet>,
         /// Commit timestamp (virtual-time ticks) for last-writer-wins.
         commit_ts: u64,
         /// Committing site (timestamp tie-break).
@@ -111,12 +107,6 @@ impl Message for LazyUeMsg {
             LazyUeMsg::SyncData { items } => 8 + items.len() * 28,
             LazyUeMsg::Reply(r) => 8 + r.wire_size(),
             LazyUeMsg::Member(m) => 8 + m.wire_size(),
-        }
-    }
-    fn clone_is_cheap(&self) -> bool {
-        match self {
-            LazyUeMsg::Propagate { ws, .. } => ws.clone_is_cheap(),
-            _ => false,
         }
     }
 }
@@ -224,9 +214,9 @@ impl LazyUeServer {
             }
             match self.mode {
                 ReconcileMode::Lww => {
-                    // Only the peers consume the handle (self committed
+                    // Only the peers apply it (self committed
                     // optimistically already).
-                    let ws = self.base.make_payload(ws, (self.servers.len() - 1) as u32);
+                    let ws = Arc::new(ws);
                     for &s in &self.servers {
                         if s != self.me {
                             ctx.send(
@@ -241,11 +231,10 @@ impl LazyUeServer {
                     }
                 }
                 ReconcileMode::AbcastOrder => {
-                    // Every site (self included) consumes the ordered
+                    // Every site (self included) applies the ordered
                     // delivery once.
-                    let ws = self.base.make_payload(ws, self.servers.len() as u32);
                     let mut out = Outbox::new();
-                    self.ab.broadcast(OrderedWs(ws), &mut out);
+                    self.ab.broadcast(OrderedWs(Arc::new(ws)), &mut out);
                     self.drive_ab(ctx, out);
                 }
             }
@@ -261,56 +250,52 @@ impl LazyUeServer {
     ) {
         let deliveries = repl_gcs::apply_outbox(ctx, out, 0, LazyUeMsg::Ab);
         for d in deliveries {
-            let payload = d.payload.0;
-            let arena = self.base.arena.clone();
-            payload.with(arena.as_ref(), |view| {
-                let txn = view.txn();
-                let own = self.local_pending.remove(&txn);
-                let mut noted = self.base.tier.is_some().then(|| WriteSet {
-                    txn,
-                    writes: Vec::with_capacity(view.len()),
-                });
-                for w in view.iter() {
-                    // An optimistic local value that had not reached the
-                    // total order yet is being overridden: that is a
-                    // reconciliation.
-                    if let Some(current) = self.base.store.read(w.key) {
-                        if let Some(writer) = current.writer {
-                            if writer != txn && self.local_pending.contains(&writer) {
-                                self.reconciliations += 1;
-                            }
+            let ws = d.payload.0;
+            let txn = ws.txn;
+            let own = self.local_pending.remove(&txn);
+            let mut noted = self.base.tier.is_some().then(|| WriteSet {
+                txn,
+                writes: Vec::with_capacity(ws.writes.len()),
+            });
+            for w in &ws.writes {
+                // An optimistic local value that had not reached the
+                // total order yet is being overridden: that is a
+                // reconciliation.
+                if let Some(current) = self.base.store.read(w.key) {
+                    if let Some(writer) = current.writer {
+                        if writer != txn && self.local_pending.contains(&writer) {
+                            self.reconciliations += 1;
                         }
                     }
-                    let after = self.base.store.write(w.key, w.value, txn);
-                    if let Some(n) = &mut noted {
-                        n.writes.push(WriteRecord {
-                            key: w.key,
-                            value: w.value,
-                            version: after.version,
-                        });
-                    }
-                    if !own {
-                        self.base.history.record(
-                            self.base.site,
-                            txn,
-                            w.key,
-                            repl_db::AccessKind::Write,
-                        );
-                    }
                 }
-                // The tier notes at *delivery*, not at the optimistic local
-                // commit: the sealed state is then exactly a prefix of the
-                // total order, so a restore can rewind the stream to the
-                // frame token and replay forward consistently.
-                if let (Some(t), Some(noted)) = (&mut self.base.tier, noted) {
-                    t.note_commit(&noted);
+                let after = self.base.store.write(w.key, w.value, txn);
+                if let Some(n) = &mut noted {
+                    n.writes.push(WriteRecord {
+                        key: w.key,
+                        value: w.value,
+                        version: after.version,
+                    });
                 }
                 if !own {
-                    self.base.history.mark_committed(txn);
-                    self.base.committed += 1;
+                    self.base.history.record(
+                        self.base.site,
+                        txn,
+                        w.key,
+                        repl_db::AccessKind::Write,
+                    );
                 }
-            });
-            self.base.release_payload(&payload);
+            }
+            // The tier notes at *delivery*, not at the optimistic local
+            // commit: the sealed state is then exactly a prefix of the
+            // total order, so a restore can rewind the stream to the
+            // frame token and replay forward consistently.
+            if let (Some(t), Some(noted)) = (&mut self.base.tier, noted) {
+                t.note_commit(&noted);
+            }
+            if !own {
+                self.base.history.mark_committed(txn);
+                self.base.committed += 1;
+            }
         }
         settle_rejoin(&mut self.ab, &mut self.base, ctx.now().ticks());
     }
@@ -359,12 +344,12 @@ impl LazyUeServer {
     }
 
     /// Applies a remote writeset under the Thomas write rule.
-    fn reconcile(&mut self, view: WsView<'_>, commit_ts: u64, site: u32) {
-        let txn = view.txn();
+    fn reconcile(&mut self, ws: &WriteSet, commit_ts: u64, site: u32) {
+        let txn = ws.txn;
         let mut any_applied = false;
         // The winning subset is collected for the durable tier only.
         let mut applied: Option<Vec<WriteRecord>> = self.base.tier.is_some().then(Vec::new);
-        for w in view.iter() {
+        for w in &ws.writes {
             let stamp = (commit_ts, site);
             let current = self
                 .last_writer
@@ -648,10 +633,8 @@ impl LazyUeServer {
         let reship = std::mem::take(&mut self.reship);
         if !reship.is_empty() {
             let site = self.base.site;
-            for ws in &reship {
-                // Resends are built from retained materialized state and
-                // ship inline (fault paths run with arena GC disarmed).
-                let ws = WsPayload::inline(ws.clone());
+            for ws in reship {
+                let ws = Arc::new(ws);
                 for &s in &self.servers {
                     if s != self.me {
                         ctx.send(
@@ -727,9 +710,7 @@ impl Actor<LazyUeMsg> for LazyUeServer {
                 commit_ts,
                 site,
             } => {
-                let arena = self.base.arena.clone();
-                ws.with(arena.as_ref(), |view| self.reconcile(view, commit_ts, site));
-                self.base.release_payload(&ws);
+                self.reconcile(&ws, commit_ts, site);
             }
             LazyUeMsg::Ab(m) => {
                 let mut out = Outbox::new();

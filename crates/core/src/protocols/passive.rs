@@ -14,7 +14,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use repl_db::{Keyspace, Transfer, WsPayload};
+use repl_db::{Keyspace, Transfer, WriteSet};
 use repl_gcs::{Outbox, ViewGroup, VsConfig, VsEvent, VsMsg};
 use repl_sim::{impl_as_any, Actor, Context, Message, NodeId, SimDuration, SimTime, TimerId};
 
@@ -31,8 +31,8 @@ use crate::protocols::common::{
 pub struct Update {
     /// The client operation this update came from.
     pub op: OpId,
-    /// The redo records to install (arena handle or inline).
-    pub ws: WsPayload,
+    /// The redo records to install (`Arc`-shared across backups).
+    pub ws: Arc<WriteSet>,
     /// The response the primary computed (cached by backups so a new
     /// primary can answer retries after failover). `Arc`-shared so the
     /// per-backup VSCAST clones stay allocation-free.
@@ -42,9 +42,6 @@ pub struct Update {
 impl Message for Update {
     fn wire_size(&self) -> usize {
         8 + self.ws.wire_size() + self.resp.wire_size()
-    }
-    fn clone_is_cheap(&self) -> bool {
-        self.ws.clone_is_cheap()
     }
 }
 
@@ -181,10 +178,9 @@ impl PassiveServer {
                     // Backup path: install without re-execution, cache the
                     // response for failover, acknowledge.
                     if self.base.cached(payload.op).is_none() {
-                        self.base.install_payload(&payload.ws);
+                        self.base.install_writeset(&payload.ws);
                         self.base.remember(&payload.resp);
                     }
-                    self.base.release_payload(&payload.ws);
                     ctx.send(from, PassiveMsg::Ack { op: payload.op });
                 }
                 VsEvent::ViewInstalled(view) => {
@@ -236,7 +232,7 @@ impl PassiveServer {
             .collect();
         let update = Update {
             op: op.id,
-            ws: self.base.make_payload(ws, backups.len() as u32),
+            ws: Arc::new(ws),
             resp: Arc::new(resp.clone()),
         };
         let mut out = Outbox::new();

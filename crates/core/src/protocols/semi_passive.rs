@@ -12,8 +12,9 @@
 //! Skeleton: `RE EX AC END`.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WsPayload};
+use repl_db::{Keyspace, RedoLog, Transfer, TransferStrategy, WriteSet};
 use repl_gcs::{
     ConsEvent, ConsMsg, ConsensusConfig, ConsensusPool, FdConfig, FdEvent, FdMsg, HeartbeatFd,
     Outbox,
@@ -34,8 +35,8 @@ use crate::protocols::common::{
 pub struct Proposal {
     /// The chosen operation.
     pub op: ClientOp,
-    /// The update to install everywhere (arena handle or inline).
-    pub ws: WsPayload,
+    /// The update to install everywhere (`Arc`-shared across members).
+    pub ws: Arc<WriteSet>,
     /// The response to hand to the client.
     pub resp: Response,
 }
@@ -410,9 +411,7 @@ impl SemiPassiveServer {
         }
         let txn = global_txn(op.id);
         let (_rs, ws, resp) = self.base.execute_shadow(&op, txn);
-        // Every member consumes the decided slot exactly once (losing
-        // proposals leak their span, which is safe and rare).
-        let ws = self.base.make_payload(ws, self.group.len() as u32);
+        let ws = Arc::new(ws);
         let mut out = Outbox::new();
         self.pool
             .propose(self.next_slot, Proposal { op, ws, resp }, &mut out);
@@ -437,19 +436,17 @@ impl SemiPassiveServer {
             self.pending.remove(&p.op.id);
             // Mirror every decision so wal index == slot, even for
             // duplicate decision content (keeps donor watermarks exact).
-            self.wal.append(self.base.materialize_payload(&p.ws));
+            self.wal.append((*p.ws).clone());
             if self.base.cached(p.op.id).is_some() || self.elastic.answered.contains(&p.op.id) {
                 // Already installed (duplicate decision content, or the
                 // join donor answered it before the snapshot); this site
                 // still consumed the slot.
-                self.base.release_payload(&p.ws);
                 continue;
             }
             if self.marks {
                 ctx.mark(Phase::AgreementCoordination.tag(), p.op.id.0, 0);
             }
-            self.base.install_payload(&p.ws);
-            self.base.release_payload(&p.ws);
+            self.base.install_writeset(&p.ws);
             self.base.remember(&p.resp);
             ctx.send(p.op.client, SemiPassiveMsg::Reply(p.resp));
         }

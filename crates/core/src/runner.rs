@@ -8,8 +8,8 @@ use repl_sim::{
     SimTime, World,
 };
 use repl_workload::{
-    ArrivalDist, ArrivalStream, CrashSchedule, FaultEvent, FaultPlan, FaultPlanError,
-    MembershipEvent, MembershipPlan, MembershipPlanError, ShardMap, WorkloadGen, WorkloadSpec,
+    ArrivalDist, ArrivalStream, FaultEvent, FaultPlan, FaultPlanError, MembershipEvent,
+    MembershipPlan, MembershipPlanError, ShardMap, WorkloadGen, WorkloadSpec,
 };
 
 use crate::client::{AggregateClients, ClientActor, ClientGroup, OpenLoopClient, ProtocolMsg};
@@ -112,13 +112,6 @@ pub struct RunConfig {
     /// restore replays a durable log suffix. Defaults to
     /// [`repl_db::FSYNC_TICKS`].
     pub fsync_ticks: u64,
-    /// Whether writeset-carrying techniques store payloads in a per-run
-    /// [`repl_db::PayloadArena`] and ship 16-byte handles instead of
-    /// deep-copied rows on every multicast leg. Purely an engine
-    /// optimisation: digests, trace hashes and byte accounting are
-    /// identical either way (the equivalence tests pin this). On by
-    /// default; disable to A/B the allocation behaviour.
-    pub payload_arena: bool,
     /// Client retry timeout.
     pub retry_after: SimDuration,
     /// Hard deadline for the run.
@@ -152,7 +145,6 @@ impl RunConfig {
             log_retention: None,
             durability: DurabilityConfig::disabled(),
             fsync_ticks: repl_db::FSYNC_TICKS,
-            payload_arena: true,
             retry_after: SimDuration::from_ticks(25_000),
             max_time: SimTime::from_ticks(30_000_000),
             trace: true,
@@ -194,13 +186,6 @@ impl RunConfig {
     /// Sets the fault load.
     pub fn with_faults(mut self, f: FaultPlan) -> Self {
         self.faults = f;
-        self
-    }
-
-    /// Sets a crash-only fault load (compatibility shim over
-    /// [`RunConfig::with_faults`]).
-    pub fn with_crashes(mut self, c: CrashSchedule) -> Self {
-        self.faults = FaultPlan::from(c);
         self
     }
 
@@ -267,12 +252,6 @@ impl RunConfig {
     /// Sets the simulated fsync cost (restore replay of log suffixes).
     pub fn with_fsync_ticks(mut self, t: u64) -> Self {
         self.fsync_ticks = t;
-        self
-    }
-
-    /// Enables or disables the shared payload arena (default on).
-    pub fn with_payload_arena(mut self, on: bool) -> Self {
-        self.payload_arena = on;
         self
     }
 
@@ -515,23 +494,6 @@ pub fn run(cfg: &RunConfig) -> RunReport {
     try_run(cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Builds the per-run payload arena for a technique whose messages
-/// carry writeset handles: one arena shared by every server of the
-/// world (worlds are single-threaded, so an `Rc` suffices). Fault
-/// plans disarm span GC — rejoin transfers and re-deliveries to
-/// recovering servers may skip releases, so fault runs trade a bounded
-/// leak for never retiring a span that could still be read.
-fn run_arena(cfg: &RunConfig) -> Option<repl_db::SharedArena> {
-    if !cfg.payload_arena {
-        return None;
-    }
-    let arena = repl_db::shared_arena();
-    if !cfg.faults.events().is_empty() || !cfg.membership.is_empty() {
-        arena.borrow_mut().set_gc(false);
-    }
-    Some(arena)
-}
-
 /// Rejects sharded configurations the engine cannot honour. Called by
 /// [`try_run`] only when `cfg.workload.shards > 1`.
 ///
@@ -647,31 +609,27 @@ fn dispatch(cfg: &RunConfig) -> RunReport {
             Some(|s: &mut ActiveServer, sc| s.enable_cross_shard(sc)),
             |s| base_stats(&s.base),
         ),
-        Technique::Passive => {
-            let arena = run_arena(cfg);
-            route::<PassiveMsg, PassiveServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = PassiveServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        tuned_vs(&c.network),
-                    );
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| base_stats(&s.base),
-            )
-        }
+        Technique::Passive => route::<PassiveMsg, PassiveServer>(
+            cfg,
+            |site, me, group, c, joiner| {
+                let mut srv = PassiveServer::new(
+                    site,
+                    me,
+                    group,
+                    c.workload.keyspace(),
+                    c.exec,
+                    tuned_vs(&c.network),
+                );
+                if joiner {
+                    srv.begin_join();
+                }
+                srv.base.set_durability(&c.durability, c.fsync_ticks);
+                srv.base.set_lean(c.lean_servers());
+                Box::new(srv)
+            },
+            None,
+            |s| base_stats(&s.base),
+        ),
         Technique::SemiActive => route::<SemiActiveMsg, SemiActiveServer>(
             cfg,
             |site, me, group, c, joiner| {
@@ -695,60 +653,52 @@ fn dispatch(cfg: &RunConfig) -> RunReport {
             None,
             |s| base_stats(&s.base),
         ),
-        Technique::SemiPassive => {
-            let arena = run_arena(cfg);
-            route::<SemiPassiveMsg, SemiPassiveServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = SemiPassiveServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        tuned_defer(&c.network),
-                        tuned_consensus(&c.network),
-                    );
-                    srv.set_log_retention(c.log_retention);
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| base_stats(&s.base),
-            )
-        }
-        Technique::EagerPrimary => {
-            let arena = run_arena(cfg);
-            route::<EagerPrimaryMsg, EagerPrimaryServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = EagerPrimaryServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        tuned_fd(&c.network),
-                    )
-                    .with_batching(c.batching);
-                    srv.set_log_retention(c.log_retention);
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| base_stats(&s.base),
-            )
-        }
+        Technique::SemiPassive => route::<SemiPassiveMsg, SemiPassiveServer>(
+            cfg,
+            |site, me, group, c, joiner| {
+                let mut srv = SemiPassiveServer::new(
+                    site,
+                    me,
+                    group,
+                    c.workload.keyspace(),
+                    c.exec,
+                    tuned_defer(&c.network),
+                    tuned_consensus(&c.network),
+                );
+                srv.set_log_retention(c.log_retention);
+                if joiner {
+                    srv.begin_join();
+                }
+                srv.base.set_durability(&c.durability, c.fsync_ticks);
+                srv.base.set_lean(c.lean_servers());
+                Box::new(srv)
+            },
+            None,
+            |s| base_stats(&s.base),
+        ),
+        Technique::EagerPrimary => route::<EagerPrimaryMsg, EagerPrimaryServer>(
+            cfg,
+            |site, me, group, c, joiner| {
+                let mut srv = EagerPrimaryServer::new(
+                    site,
+                    me,
+                    group,
+                    c.workload.keyspace(),
+                    c.exec,
+                    tuned_fd(&c.network),
+                )
+                .with_batching(c.batching);
+                srv.set_log_retention(c.log_retention);
+                if joiner {
+                    srv.begin_join();
+                }
+                srv.base.set_durability(&c.durability, c.fsync_ticks);
+                srv.base.set_lean(c.lean_servers());
+                Box::new(srv)
+            },
+            None,
+            |s| base_stats(&s.base),
+        ),
         Technique::EagerUpdateEverywhereLocking => route::<EulMsg, EulServer>(
             cfg,
             |site, me, group, c, joiner| {
@@ -792,90 +742,78 @@ fn dispatch(cfg: &RunConfig) -> RunReport {
             Some(|s: &mut EuaServer, sc| s.enable_cross_shard(sc)),
             |s| base_stats(&s.base),
         ),
-        Technique::LazyPrimary => {
-            let arena = run_arena(cfg);
-            route::<LazyPrimaryMsg, LazyPrimaryServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = LazyPrimaryServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        c.propagation_delay,
-                    )
-                    .with_batching(c.batching);
-                    srv.set_log_retention(c.log_retention);
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| base_stats(&s.base),
-            )
-        }
-        Technique::LazyUpdateEverywhere => {
-            let arena = run_arena(cfg);
-            route::<LazyUeMsg, LazyUeServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = LazyUeServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        c.propagation_delay,
-                    )
-                    .with_reconcile(c.reconcile);
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| {
-                    let mut stats = base_stats(&s.base);
-                    stats.reconciliations = s.reconciliations;
-                    stats
-                },
-            )
-        }
-        Technique::Certification => {
-            let arena = run_arena(cfg);
-            route::<CertMsg, CertServer>(
-                cfg,
-                move |site, me, group, c, joiner| {
-                    let mut srv = CertServer::new(
-                        site,
-                        me,
-                        group,
-                        c.workload.keyspace(),
-                        c.exec,
-                        c.abcast,
-                        tuned_consensus(&c.network),
-                    )
-                    .with_batching(c.batching);
-                    if joiner {
-                        srv.begin_join();
-                    }
-                    srv.base.set_durability(&c.durability, c.fsync_ticks);
-                    srv.base.set_lean(c.lean_servers());
-                    srv.base.set_arena(arena.clone());
-                    Box::new(srv)
-                },
-                None,
-                |s| base_stats(&s.base),
-            )
-        }
+        Technique::LazyPrimary => route::<LazyPrimaryMsg, LazyPrimaryServer>(
+            cfg,
+            |site, me, group, c, joiner| {
+                let mut srv = LazyPrimaryServer::new(
+                    site,
+                    me,
+                    group,
+                    c.workload.keyspace(),
+                    c.exec,
+                    c.propagation_delay,
+                )
+                .with_batching(c.batching);
+                srv.set_log_retention(c.log_retention);
+                if joiner {
+                    srv.begin_join();
+                }
+                srv.base.set_durability(&c.durability, c.fsync_ticks);
+                srv.base.set_lean(c.lean_servers());
+                Box::new(srv)
+            },
+            None,
+            |s| base_stats(&s.base),
+        ),
+        Technique::LazyUpdateEverywhere => route::<LazyUeMsg, LazyUeServer>(
+            cfg,
+            |site, me, group, c, joiner| {
+                let mut srv = LazyUeServer::new(
+                    site,
+                    me,
+                    group,
+                    c.workload.keyspace(),
+                    c.exec,
+                    c.propagation_delay,
+                )
+                .with_reconcile(c.reconcile);
+                if joiner {
+                    srv.begin_join();
+                }
+                srv.base.set_durability(&c.durability, c.fsync_ticks);
+                srv.base.set_lean(c.lean_servers());
+                Box::new(srv)
+            },
+            None,
+            |s| {
+                let mut stats = base_stats(&s.base);
+                stats.reconciliations = s.reconciliations;
+                stats
+            },
+        ),
+        Technique::Certification => route::<CertMsg, CertServer>(
+            cfg,
+            |site, me, group, c, joiner| {
+                let mut srv = CertServer::new(
+                    site,
+                    me,
+                    group,
+                    c.workload.keyspace(),
+                    c.exec,
+                    c.abcast,
+                    tuned_consensus(&c.network),
+                )
+                .with_batching(c.batching);
+                if joiner {
+                    srv.begin_join();
+                }
+                srv.base.set_durability(&c.durability, c.fsync_ticks);
+                srv.base.set_lean(c.lean_servers());
+                Box::new(srv)
+            },
+            None,
+            |s| base_stats(&s.base),
+        ),
     }
 }
 
@@ -1160,15 +1098,10 @@ where
             // The group's worst unavailability window: answered ops use
             // their response gap, in-flight ops count to the end of the
             // run, same convention as the per-client records below.
-            let mut worst = a.worst_gap;
-            for &(invoked, _) in a.outstanding.values()
-            // sorted-below: commutative max, order cannot leak
-            {
-                let gap = completed_at - invoked;
-                if gap > worst {
-                    worst = gap;
-                }
-            }
+            let outstanding = a.outstanding.values(); // sorted-below: commutative max
+            let worst = outstanding
+                .map(|&(invoked, _)| completed_at - invoked)
+                .fold(a.worst_gap, std::cmp::max);
             agg_worst_gaps.push(worst);
             if let Some(t) = a.last_response {
                 agg_last_response = Some(agg_last_response.map_or(t, |prev| prev.max(t)));
@@ -1697,22 +1630,6 @@ mod tests {
         // The worst gap is just the worst response time.
         let mut l = report.latencies.clone();
         assert_eq!(report.availability.worst_gap(), l.percentile(1.0));
-    }
-
-    #[test]
-    fn with_crashes_shim_matches_explicit_fault_plan() {
-        let sched = CrashSchedule::new()
-            .crash_at(SimTime::from_ticks(2_000), NodeId::new(2))
-            .recover_at(SimTime::from_ticks(8_000), NodeId::new(2));
-        let a = small(Technique::Active).with_crashes(sched.clone());
-        let b = small(Technique::Active).with_faults(FaultPlan::from(sched));
-        assert_eq!(a.faults, b.faults);
-        let ra = run(&a);
-        let rb = run(&b);
-        assert_eq!(ra.fingerprints, rb.fingerprints);
-        assert_eq!(ra.messages, rb.messages);
-        assert_eq!(ra.faults_injected(), 1);
-        assert!(ra.availability.failover_latency.is_some());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::hash::FxHashMap;
 use crate::item::{Key, Keyspace, TxnId};
-use crate::log::{WriteRecord, WriteSet};
+use crate::log::WriteSet;
 
 /// The verdict of the certification test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,18 +118,7 @@ impl Certifier {
     /// it wants to install. On commit, the writeset's versions are
     /// recorded as installed.
     pub fn certify(&mut self, read_set: &[(Key, u64)], ws: &WriteSet) -> Certification {
-        self.certify_records(read_set, ws.txn, ws.writes.iter().copied())
-    }
-
-    /// [`Certifier::certify`] over any record stream — the borrow-view
-    /// entry point the payload plane uses, so certifying an arena-backed
-    /// writeset never materializes a `Vec<WriteRecord>`.
-    pub fn certify_records(
-        &mut self,
-        read_set: &[(Key, u64)],
-        txn: TxnId,
-        writes: impl Iterator<Item = WriteRecord>,
-    ) -> Certification {
+        let txn = ws.txn;
         for &(key, version_read) in read_set {
             if let Some((installed, by)) = self.get(key) {
                 if installed > version_read {
@@ -138,7 +127,7 @@ impl Certifier {
                 }
             }
         }
-        for w in writes {
+        for w in &ws.writes {
             let entry: &mut Installed = if (w.key.0 as usize) < self.dense.len() {
                 &mut self.dense[w.key.0 as usize]
             } else {

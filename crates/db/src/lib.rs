@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod certify;
 mod durable;
 pub mod hash;
@@ -38,9 +37,6 @@ mod twopc;
 mod txn;
 pub mod wire;
 
-pub use arena::{
-    shared_arena, ArenaStats, PayloadArena, SharedArena, WriteSetRef, WsPayload, WsView,
-};
 pub use certify::{Certification, Certifier};
 pub use durable::{DurableFrame, DurableLog, DurableRestore};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

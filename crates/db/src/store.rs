@@ -168,18 +168,11 @@ impl Store {
     /// adopting the writer's versions. This is how secondaries install a
     /// primary's updates without re-executing (Section 3.3 / 4.3).
     pub fn apply_writeset(&mut self, ws: &WriteSet) {
-        self.apply_records(ws.txn, ws.writes.iter().copied());
-    }
-
-    /// [`Store::apply_writeset`] over any record stream — the borrow-view
-    /// entry point the payload plane uses, so installing an arena-backed
-    /// writeset never materializes a `Vec<WriteRecord>`.
-    pub fn apply_records(&mut self, txn: TxnId, records: impl Iterator<Item = WriteRecord>) {
-        for rec in records {
+        for rec in &ws.writes {
             let entry = self.entry_or_insert(rec.key, Versioned::initial(Value(0)));
             entry.value = rec.value;
             entry.version = rec.version;
-            entry.writer = Some(txn);
+            entry.writer = Some(ws.txn);
         }
     }
 

@@ -1,10 +1,10 @@
 //! Logical wire-size accounting shared by every payload type.
 //!
 //! Every message charges `header + items × per_item` bytes for a payload
-//! regardless of its in-memory representation: an `Arc`-shared or
-//! arena-interned writeset costs the same wire bytes as the records it
-//! stands for. Deriving every `wire_size` from the one formula here (and
-//! the per-type constants) means a representation change can never
+//! regardless of its in-memory representation: an `Arc`-shared
+//! writeset costs the same wire bytes as the records it stands for.
+//! Deriving every `wire_size` from the one formula here (and the
+//! per-type constants) means a representation change can never
 //! silently shift byte accounting — and therefore never shift the run
 //! digests the determinism suites pin.
 
@@ -28,8 +28,8 @@ pub fn logical_bytes(header: usize, items: usize, per_item: usize) -> usize {
 }
 
 /// Logical bytes of a writeset holding `records` write records —
-/// shared by [`WriteSet`](crate::WriteSet), `WriteSetRef` and the
-/// payload views, so every representation charges identically.
+/// shared by [`WriteSet`](crate::WriteSet) and every message that
+/// carries one, so every representation charges identically.
 #[inline]
 pub fn writeset_bytes(records: usize) -> usize {
     logical_bytes(WRITESET_HEADER_BYTES, records, WRITE_RECORD_BYTES)

@@ -182,6 +182,9 @@ const FLUSH_TAG: u64 = 1;
 /// Sequencer role: close the accumulation window and disseminate.
 const ORDER_FLUSH_TAG: u64 = 2;
 
+/// One sequenced broadcast: global sequence number, id, payload.
+type Sequenced<P> = (u64, MsgId, P);
+
 /// Fixed-sequencer Atomic Broadcast.
 ///
 /// The sequencer is the first group member. Senders retransmit unordered
@@ -224,7 +227,7 @@ pub struct SequencerAbcast<P> {
     // refilling rejoining members after a crash.
     order_log: Vec<(MsgId, P)>,
     // Sequencer role, batching: submissions accumulated in the window.
-    order_staged: Vec<(u64, MsgId, P)>,
+    order_staged: Vec<Sequenced<P>>,
     order_flush_armed: bool,
     // Receiver role.
     next_deliver: u64,
@@ -465,7 +468,7 @@ impl<P: Message> SequencerAbcast<P> {
         }
         // Non-member origins get one confirmation batch each, holding
         // just their own entries.
-        let mut outsiders: Vec<(NodeId, Vec<(u64, MsgId, P)>)> = Vec::new();
+        let mut outsiders: Vec<(NodeId, Vec<Sequenced<P>>)> = Vec::new();
         for e in entries.iter() {
             let origin = e.1.origin;
             if origin != self.me && !self.group.contains(&origin) {
@@ -641,7 +644,7 @@ impl<P: Message> Component for SequencerAbcast<P> {
             SeqAbMsg::Rejoin { have } => {
                 if self.me == self.sequencer() {
                     let start = have.min(self.next_gseq);
-                    let entries: Vec<(u64, MsgId, P)> = (start..self.next_gseq)
+                    let entries: Vec<Sequenced<P>> = (start..self.next_gseq)
                         .map(|g| {
                             let (id, p) = self.order_log[g as usize].clone();
                             (g, id, p)

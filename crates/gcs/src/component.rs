@@ -59,8 +59,7 @@ impl<M, E> Outbox<M, E> {
 
     /// Queues a send of `msg` to each target. The last target receives
     /// the original message; earlier targets receive clones, so an
-    /// `n`-way multicast costs `n - 1` clones instead of `n` — and zero
-    /// when the payload is an arena handle whose clone is free.
+    /// `n`-way multicast costs `n - 1` clones instead of `n`.
     pub fn multicast<I>(&mut self, targets: I, msg: M)
     where
         I: IntoIterator<Item = NodeId>,

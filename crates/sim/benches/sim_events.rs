@@ -100,34 +100,6 @@ impl Message for SharedPayload {
     }
 }
 
-/// A writeset of `WriteRecord`-shaped 24-byte rows shipped by value:
-/// every multicast leg deep-copies the whole vector.
-#[derive(Clone, Debug)]
-struct VecWs(Vec<[u64; 3]>);
-impl Message for VecWs {
-    fn wire_size(&self) -> usize {
-        16 + 24 * self.0.len()
-    }
-}
-
-/// The same writeset as a 16-byte arena handle: legs copy the handle
-/// (a memcpy — `clone_is_cheap`), while `wire_size` keeps charging the
-/// full logical bytes per leg so byte accounting is unchanged.
-#[derive(Clone, Debug)]
-struct HandleWs {
-    _start: u64,
-    len: u32,
-    _site: u32,
-}
-impl Message for HandleWs {
-    fn wire_size(&self) -> usize {
-        16 + 24 * self.len as usize
-    }
-    fn clone_is_cheap(&self) -> bool {
-        true
-    }
-}
-
 /// Multicasts a payload built by `make` to the group every round —
 /// the shape of an ABCAST dissemination fan-out.
 struct FanOut<M: Message> {
@@ -305,36 +277,6 @@ fn bench(c: &mut Criterion) {
             }))
         })
     });
-    // The payload-plane matrix: cloned-Vec vs 16-byte arena-handle
-    // writesets at {1, 16, 256} records × {3, 7}-node groups. Identical
-    // wire bytes per leg; the handle cells additionally ride the
-    // clone-cheap multicast fast path (no pooled Arc, no deep clones).
-    fn make_vec_ws<const N: usize>() -> VecWs {
-        VecWs(vec![[7; 3]; N])
-    }
-    fn make_handle_ws<const N: usize>() -> HandleWs {
-        HandleWs {
-            _start: 0,
-            len: N as u32,
-            _site: 0,
-        }
-    }
-    macro_rules! fanout_pair {
-        ($ws:literal, $g:literal) => {
-            g.bench_function(concat!("fanout_vec/ws", $ws, "xg", $g), |b| {
-                b.iter(|| std::hint::black_box(run_fanout($g, 200, make_vec_ws::<$ws>)))
-            });
-            g.bench_function(concat!("fanout_handle/ws", $ws, "xg", $g), |b| {
-                b.iter(|| std::hint::black_box(run_fanout($g, 200, make_handle_ws::<$ws>)))
-            });
-        };
-    }
-    fanout_pair!(1, 3);
-    fanout_pair!(1, 7);
-    fanout_pair!(16, 3);
-    fanout_pair!(16, 7);
-    fanout_pair!(256, 3);
-    fanout_pair!(256, 7);
     g.finish();
 }
 

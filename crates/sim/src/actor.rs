@@ -31,13 +31,9 @@ pub trait Message: Clone + std::fmt::Debug + 'static {
         64
     }
 
-    /// Whether `clone` is allocation-free (`Copy`-like fields, `Arc`
-    /// payloads, arena handles). [`Context::multicast`] clones cheap
-    /// messages per leg; expensive ones are wrapped in a single shared
-    /// allocation so an n-way fan-out deep-copies nothing. The default is
-    /// conservative: unknown messages are treated as expensive only by
-    /// senders that opt into pooling, so `false` changes no behavior for
-    /// plain `send` loops.
+    /// Ignored: every [`Context::multicast`] takes the pooled path.
+    /// Kept only so implementations that still override it compile.
+    #[deprecated(note = "ignored: every multicast is pooled")]
     fn clone_is_cheap(&self) -> bool {
         false
     }

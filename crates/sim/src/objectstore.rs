@@ -213,6 +213,6 @@ mod tests {
         let mut os = ObjectStore::new(cfg);
         os.upload(0, 2048);
         os.upload(1, 100);
-        assert_eq!(os.cost(), 5 + 4 + 5 + 0);
+        assert_eq!(os.cost(), 5 + 4 + 5);
     }
 }

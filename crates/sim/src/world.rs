@@ -189,21 +189,6 @@ impl<M: Message> Core<M> {
     }
 
     fn multicast_from(&mut self, src: NodeId, targets: impl IntoIterator<Item = NodeId>, msg: M) {
-        if msg.clone_is_cheap() {
-            // Cheap clones (Copy-like fields, arena handles, Arcs): a
-            // plain per-leg clone is already allocation-free.
-            let mut it = targets.into_iter().peekable();
-            let mut msg = Some(msg);
-            while let Some(t) = it.next() {
-                let m = if it.peek().is_some() {
-                    msg.clone().expect("multicast payload present")
-                } else {
-                    msg.take().expect("multicast payload present")
-                };
-                self.send_from(src, t, m);
-            }
-            return;
-        }
         // Message pool: one shared allocation for the whole fan-out.
         // Every queued leg holds the same `Arc`; the leg delivered last
         // unwraps it and hands the actor the original message, so an
@@ -251,14 +236,11 @@ impl<'a, M: Message> Context<'a, M> {
         self.core.send_from(self.me, to, msg);
     }
 
-    /// Sends `msg` to every node in `targets`.
-    ///
-    /// Messages whose [`Message::clone_is_cheap`] returns true are
-    /// cloned per leg (allocation-free by contract). Everything else
-    /// goes through the message pool: the fan-out shares one allocation
-    /// and the leg delivered last receives the original message without
-    /// any deep copy. Per-leg byte accounting, trace records and network
-    /// RNG draws are identical in both paths.
+    /// Sends `msg` to every node in `targets` through the message pool:
+    /// the fan-out shares one allocation and the leg delivered last
+    /// receives the original message without any deep copy. Per-leg
+    /// byte accounting, trace records and network RNG draws are those of
+    /// `targets.len()` individual sends.
     pub fn multicast<I>(&mut self, targets: I, msg: M)
     where
         I: IntoIterator<Item = NodeId>,

@@ -1,17 +1,20 @@
 //! Allocation guard for the multicast message plane.
 //!
-//! The payload-plane contract (DESIGN.md "Payload plane"): fanning a
-//! clone-cheap message (arena handle, `Copy` fields) out to n targets
-//! performs **zero** heap allocations after warm-up — send, queueing and
-//! delivery included — and fanning out a deep message performs exactly
-//! **one** allocation at send time (the pooled `Arc`), with only the
-//! non-final legs paying a deep copy at delivery. This test installs a
-//! counting global allocator and holds `Context::multicast` to that
-//! promise. It lives in its own integration-test crate because the
+//! The dissemination contract (DESIGN.md "Writeset dissemination"):
+//! every multicast takes the one pooled path. Fanning a message whose
+//! payload is already `Arc`-shared (how protocols ship writesets) out to
+//! n targets performs exactly **one** heap allocation after warm-up —
+//! the pooled `Arc` at send time — and **zero** at delivery, where the
+//! non-final legs clone a pointer and the final leg unwraps the pool.
+//! Fanning out a deep message also allocates once at send time, with
+//! only the non-final legs paying a deep copy at delivery. This test
+//! installs a counting global allocator and holds `Context::multicast`
+//! to that promise. It lives in its own integration-test crate because the
 //! counter is process-global and `cargo` runs `#[test]`s concurrently.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use repl_sim::{
     impl_as_any, Actor, Context, Message, NetworkConfig, NodeId, SimConfig, SimDuration, SimTime,
@@ -45,32 +48,28 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Stand-ins for the two payload shapes the replication protocols ship:
-/// a 16-byte arena handle (clone is a memcpy) and an owned row vector
-/// (clone allocates).
+/// Stand-ins for two payload shapes: an `Arc`-shared writeset (how the
+/// replication protocols ship one; clone bumps a count) and an owned
+/// row vector (clone allocates).
 #[derive(Clone, Debug)]
 enum Msg {
-    Handle(u64, u32),
+    Shared(Arc<Vec<u8>>),
     Deep(Vec<u8>),
 }
 
 impl Message for Msg {
     fn wire_size(&self) -> usize {
         match self {
-            Msg::Handle(..) => 16,
+            Msg::Shared(v) => 16 + v.len(),
             Msg::Deep(v) => 16 + v.len(),
         }
-    }
-
-    fn clone_is_cheap(&self) -> bool {
-        matches!(self, Msg::Handle(..))
     }
 }
 
 const GROUP: u32 = 7;
-const WARM_HANDLE: u64 = 1;
+const WARM_SHARED: u64 = 1;
 const WARM_DEEP: u64 = 2;
-const ROUND_HANDLE: u64 = 3;
+const ROUND_SHARED: u64 = 3;
 const ROUND_DEEP: u64 = 4;
 
 /// The timing wheel buckets events by time bits (6-bit levels), and a
@@ -83,13 +82,16 @@ const WHEEL_PERIOD: u64 = 64 * 64;
 /// Fires one multicast round per pre-armed timer tag.
 struct Driver {
     peers: Vec<NodeId>,
+    /// Built once up front, like a writeset a protocol has already
+    /// wrapped in an `Arc`: sending it clones a pointer.
+    shared: Arc<Vec<u8>>,
 }
 
 impl Actor<Msg> for Driver {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        ctx.set_timer(SimDuration::from_ticks(5_000), WARM_HANDLE);
+        ctx.set_timer(SimDuration::from_ticks(5_000), WARM_SHARED);
         ctx.set_timer(SimDuration::from_ticks(7_000), WARM_DEEP);
-        ctx.set_timer(SimDuration::from_ticks(5_000 + WHEEL_PERIOD), ROUND_HANDLE);
+        ctx.set_timer(SimDuration::from_ticks(5_000 + WHEEL_PERIOD), ROUND_SHARED);
         ctx.set_timer(SimDuration::from_ticks(7_000 + WHEEL_PERIOD), ROUND_DEEP);
     }
 
@@ -97,7 +99,7 @@ impl Actor<Msg> for Driver {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _timer: TimerId, tag: u64) {
         let msg = match tag {
-            WARM_HANDLE | ROUND_HANDLE => Msg::Handle(42, 7),
+            WARM_SHARED | ROUND_SHARED => Msg::Shared(Arc::clone(&self.shared)),
             _ => Msg::Deep(vec![0u8; 1024]),
         };
         ctx.multicast(self.peers.iter().copied(), msg);
@@ -108,14 +110,14 @@ impl Actor<Msg> for Driver {
 
 /// Counts deliveries without allocating.
 struct Sink {
-    handles: u64,
+    shared: u64,
     deep_bytes: u64,
 }
 
 impl Actor<Msg> for Sink {
     fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
         match msg {
-            Msg::Handle(..) => self.handles += 1,
+            Msg::Shared(_) => self.shared += 1,
             Msg::Deep(v) => self.deep_bytes += v.len() as u64,
         }
     }
@@ -126,7 +128,7 @@ impl Actor<Msg> for Sink {
 // One test function on purpose: the counter is process-global, and
 // cargo runs `#[test]` functions concurrently.
 #[test]
-fn multicast_rounds_meet_the_payload_plane_allocation_contract() {
+fn multicast_rounds_meet_the_pooled_fan_out_allocation_contract() {
     // Fixed latency, no jitter, no loss: rounds are deterministic and
     // the send instant is separated from the delivery instants.
     let net = NetworkConfig::lan()
@@ -136,11 +138,12 @@ fn multicast_rounds_meet_the_payload_plane_allocation_contract() {
     let peers: Vec<NodeId> = (1..=GROUP).map(NodeId::new).collect();
     let driver = world.add_actor(Box::new(Driver {
         peers: peers.clone(),
+        shared: Arc::new(vec![0u8; 256]),
     }));
     assert_eq!(driver, NodeId::new(0));
     for _ in 0..GROUP {
         world.add_actor(Box::new(Sink {
-            handles: 0,
+            shared: 0,
             deep_bytes: 0,
         }));
     }
@@ -151,15 +154,23 @@ fn multicast_rounds_meet_the_payload_plane_allocation_contract() {
     // measured rounds will retrace one WHEEL_PERIOD later.
     world.run_until(SimTime::from_ticks(8_500));
 
-    // Handle round: send at t=9096, deliveries at t=9596. Zero heap
-    // allocations for the entire round — per-leg clones are memcpys and
-    // the queue reuses warm capacity.
-    let before = allocations();
+    // Shared round: send at t=9096, deliveries at t=9596. Exactly one
+    // heap allocation at send time — the pooled Arc shared by all legs —
+    // and none at delivery: non-final legs clone the inner Arc, the final
+    // leg unwraps the pool, and the queue reuses warm capacity.
+    let before_send = allocations();
+    world.run_until(SimTime::from_ticks(9_200)); // timer fired, legs queued
+    assert_eq!(
+        allocations() - before_send,
+        1,
+        "Arc-payload multicast must allocate exactly once at send (the pool)"
+    );
+    let before_delivery = allocations();
     world.run_until(SimTime::from_ticks(10_000));
     assert_eq!(
-        allocations() - before,
+        allocations() - before_delivery,
         0,
-        "arena-handle multicast round must not allocate"
+        "Arc-payload multicast must not allocate at delivery"
     );
 
     // Deep round: send at t=11096, deliveries at t=11596. Exactly one
@@ -188,7 +199,7 @@ fn multicast_rounds_meet_the_payload_plane_allocation_contract() {
     // Every sink saw both rounds (warm-up + measured).
     for &p in &peers {
         let sink = world.actor_ref::<Sink>(p);
-        assert_eq!(sink.handles, 2);
+        assert_eq!(sink.shared, 2);
         assert_eq!(sink.deep_bytes, 2 * 1024);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] schedules node crashes/recoveries and network faults
 //! (partitions and heals, directional link drops, latency spikes) at
-//! virtual times, generalising [`CrashSchedule`](crate::CrashSchedule).
+//! virtual times.
 //! Plans are plain data: the runner validates them against the server
 //! count and deadline ([`FaultPlan::validate`]) and schedules every event
 //! into the world before the run starts.
@@ -17,8 +17,6 @@ use std::fmt;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use repl_sim::{LinkQuality, NetFault, NodeId, SimDuration, SimTime};
-
-use crate::crashes::{CrashEvent, CrashSchedule};
 
 /// One scheduled fault: a node fault or a network fault at a virtual time.
 #[derive(Debug, Clone, PartialEq)]
@@ -795,25 +793,6 @@ impl FaultPlan {
     }
 }
 
-impl From<CrashSchedule> for FaultPlan {
-    fn from(sched: CrashSchedule) -> Self {
-        let mut plan = FaultPlan::new();
-        for ev in sched.events() {
-            plan = match *ev {
-                CrashEvent::Crash(at, node) => plan.crash_at(at, node),
-                CrashEvent::Recover(at, node) => plan.recover_at(at, node),
-            };
-        }
-        plan
-    }
-}
-
-impl From<&CrashSchedule> for FaultPlan {
-    fn from(sched: &CrashSchedule) -> Self {
-        FaultPlan::from(sched.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1108,19 +1087,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn crash_schedule_converts_losslessly() {
-        let sched = CrashSchedule::new()
-            .crash_at(t(1_000), n(2))
-            .recover_at(t(9_000), n(2));
-        let plan = FaultPlan::from(&sched);
-        assert_eq!(plan.len(), 2);
-        assert!(plan.crashes(n(2)));
-        assert_eq!(plan.first_crash_time(), Some(t(1_000)));
-        assert!(plan.validate(3, t(10_000)).is_ok());
-        assert_eq!(plan, FaultPlan::from(sched));
     }
 
     #[test]

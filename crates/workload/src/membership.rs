@@ -244,11 +244,9 @@ impl MembershipPlan {
             for ev in faults.events() {
                 match ev {
                     FaultEvent::Crash { at, node } | FaultEvent::VolumeLoss { at, node }
-                        if *at <= t =>
+                        if *at <= t && !down.contains(node) =>
                     {
-                        if !down.contains(node) {
-                            down.push(*node);
-                        }
+                        down.push(*node);
                     }
                     FaultEvent::Recover { at, node } if *at <= t => {
                         down.retain(|d| d != node);
@@ -349,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn survivability_composes_drains_with_crashes() {
+    fn survivability_composes_drains_and_crashes() {
         // 3 initial; drain one → 2 members, quorum 2. A crash of one of
         // the remaining two drops live below quorum.
         let m = MembershipPlan::new()

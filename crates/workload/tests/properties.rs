@@ -6,9 +6,7 @@
 use proptest::prelude::*;
 use repl_db::Key;
 use repl_sim::{NodeId, SimDuration, SimTime};
-use repl_workload::{
-    CrashSchedule, FaultPlan, MembershipPlan, ShardMap, WorkloadGen, WorkloadSpec,
-};
+use repl_workload::{FaultPlan, MembershipPlan, ShardMap, WorkloadGen, WorkloadSpec};
 
 proptest! {
     /// The same (seed, intensity, nodes, horizon) always yields the same
@@ -167,22 +165,6 @@ proptest! {
     /// Crash-only schedules and their FaultPlan conversion agree on
     /// validity, whatever the event times — the compatibility shim must
     /// not change what is accepted.
-    #[test]
-    fn crash_schedule_and_fault_plan_validation_agree(
-        crash in 0u64..=50_000,
-        recover in 0u64..=50_000,
-        node in 0u32..=4,
-        servers in 1u32..=4,
-    ) {
-        let sched = CrashSchedule::new()
-            .crash_at(SimTime::from_ticks(crash), NodeId::new(node))
-            .recover_at(SimTime::from_ticks(recover), NodeId::new(node));
-        let deadline = SimTime::from_ticks(60_000);
-        let direct = sched.validate(servers, deadline);
-        let via_plan = FaultPlan::from(&sched).validate(servers, deadline);
-        prop_assert_eq!(direct, via_plan);
-    }
-
     /// Every key of the keyspace is owned by exactly one shard, that
     /// shard's range contains it, and the shard sizes are contiguous,
     /// exhaustive and near-equal — for arbitrary (items, shards).

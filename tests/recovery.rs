@@ -2,7 +2,7 @@
 //! comes back must catch up from the primary's redo log (log shipping).
 
 use replication::sim::{NodeId, SimTime};
-use replication::workload::CrashSchedule;
+use replication::workload::FaultPlan;
 use replication::{run, RunConfig, Technique, WorkloadSpec};
 
 fn updates(n: u32) -> WorkloadSpec {
@@ -21,8 +21,8 @@ fn recovered_secondary_catches_up_from_the_log() {
         .with_servers(3)
         .with_clients(2)
         .with_seed(307)
-        .with_crashes(
-            CrashSchedule::new()
+        .with_faults(
+            FaultPlan::new()
                 .crash_at(SimTime::from_ticks(1_500), NodeId::new(2))
                 .recover_at(SimTime::from_ticks(15_000), NodeId::new(2)),
         )
@@ -43,8 +43,8 @@ fn recovery_mid_stream_handles_gaps() {
         .with_servers(4)
         .with_clients(3)
         .with_seed(311)
-        .with_crashes(
-            CrashSchedule::new()
+        .with_faults(
+            FaultPlan::new()
                 .crash_at(SimTime::from_ticks(1_000), NodeId::new(3))
                 .recover_at(SimTime::from_ticks(6_000), NodeId::new(3))
                 .crash_at(SimTime::from_ticks(9_000), NodeId::new(3))
@@ -66,7 +66,7 @@ fn never_recovered_secondary_is_the_only_divergent_replica() {
         .with_servers(3)
         .with_clients(2)
         .with_seed(313)
-        .with_crashes(CrashSchedule::new().crash_at(SimTime::from_ticks(1_500), NodeId::new(2)))
+        .with_faults(FaultPlan::new().crash_at(SimTime::from_ticks(1_500), NodeId::new(2)))
         .with_workload(updates(8));
     let report = run(&cfg);
     assert_eq!(report.ops_unanswered, 0);
