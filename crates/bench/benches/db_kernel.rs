@@ -1,17 +1,20 @@
 //! Database-kernel hot paths: the lock acquire→commit microcycle on the
 //! dense, sparse and seed-baseline backings across keyspace sizes, plus
 //! certification, deadlock detection and the incremental 1SR history
-//! check. The P10 table (`perfstudy --p10-only`) reports the end-to-end
+//! check, cold on a hot-key merged history and warm on a flushed one.
+//! The P10 table (`perfstudy --p10-only`) reports the end-to-end
 //! view; this bench isolates the kernel cycles themselves.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::{rngs::SmallRng, Rng, SeedableRng};
 use repl_bench::{kernel_table, microcycle_keys, render, SeedLockManager};
 use repl_db::{
     AccessKind, Certifier, DeadlockPolicy, Key, Keyspace, LockManager, LockMode, ReplicatedHistory,
     TxnId, Value, WriteRecord, WriteSet,
 };
+use repl_workload::Zipf;
 
 const KEYSPACES: [u64; 3] = [64, 1024, 65536];
 
@@ -136,6 +139,39 @@ fn bench_history_check(c: &mut Criterion) {
         let mut flushed = ReplicatedHistory::new();
         flushed.merge(&h); // merge integrates the queued ops once
         b.iter(|| black_box(flushed.check_one_copy_serializable().is_ok()));
+    });
+    // The closed-loop oracle's layer: 3 sites apply 4000 committed
+    // 4-op transactions (half reads) over Zipf(0.8)-hot keys in the same
+    // order; each iteration merges the per-site histories and checks 1SR,
+    // so it pays for building the serialization graph, not just reading it.
+    g.bench_function("history_merge_check/hot_key", |b| {
+        let zipf = Zipf::new(1024, 0.8);
+        let mut rng = SmallRng::seed_from_u64(13);
+        let mut sites: Vec<ReplicatedHistory> = (0..3).map(|_| ReplicatedHistory::new()).collect();
+        for i in 0..4000u64 {
+            let txn = t(i + 1);
+            for _ in 0..4 {
+                let key = Key(zipf.sample(&mut rng));
+                let kind = if rng.gen::<bool>() {
+                    AccessKind::Read
+                } else {
+                    AccessKind::Write
+                };
+                for (site, h) in sites.iter_mut().enumerate() {
+                    h.record(site as u32, txn, key, kind);
+                }
+            }
+            for h in &mut sites {
+                h.mark_committed(txn);
+            }
+        }
+        b.iter(|| {
+            let mut merged = ReplicatedHistory::new();
+            for h in &sites {
+                merged.merge(h);
+            }
+            black_box(merged.check_one_copy_serializable().is_ok())
+        });
     });
     g.finish();
 }

@@ -8,15 +8,30 @@
 //! (Bernstein, Hadzilacos & Goodman 1987) — the paper's correctness
 //! criterion for database replication (Section 4.1).
 //!
-//! The serialization graph is maintained *incrementally*: committed
-//! operations are folded into a sorted edge set exactly once, so
+//! The graph kept here is a *reachability-equivalent subgraph* of that
+//! serialization graph, not every conflicting pair. On each (site, key)
+//! copy the conflict order is a chain of writes with reads hanging
+//! between consecutive writes, so it suffices to link each committed op
+//! to its nearest conflicting neighbours: a write to the previous and
+//! next write and to the reads between them, a read to the previous and
+//! next write. Every kept edge is a real conflict edge and every conflict
+//! edge is implied by a path of kept ones, so the transitive closure —
+//! and with it the 1SR verdict and the smallest-id-first witness order —
+//! is that of the full graph, at a size linear in the history rather than
+//! quadratic in each hot copy. Only the cycle reported for a violation
+//! may be a different (real) cycle than a full graph would yield.
+//!
+//! The graph is maintained *incrementally*: committed operations are
+//! linked in exactly once, so
 //! [`ReplicatedHistory::check_one_copy_serializable`] never re-scans
 //! operations it has already integrated. Integration is deferred —
 //! `record`/`mark_committed` only queue work, keeping the per-operation
 //! hot path to plain appends; the queue drains on `merge`, and graph
-//! reads overlay whatever is still pending without mutating.
+//! reads link whatever is still pending into clones of just the
+//! (site, key) orders it touches, without mutating.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 
 use crate::hash::FxHashMap;
 use crate::item::{AccessKind, Key, TxnId};
@@ -43,8 +58,113 @@ struct SiteLog {
     ops: Vec<(u64, HistOp)>,
 }
 
-/// Committed accesses of one (site, key) stream: (site seq, txn, kind).
-type SeqOps = Vec<(u64, TxnId, AccessKind)>;
+/// The committed accesses of one (site, key) copy in site order, and the
+/// site sequence numbers of its writes (to find an op's nearest writes
+/// without walking the reads between them).
+#[derive(Debug, Clone, Default)]
+struct CopyOrder {
+    /// (site seq, txn, kind), sorted by site seq.
+    ops: Vec<(u64, TxnId, AccessKind)>,
+    /// Site seqs of the writes in `ops`, sorted.
+    writes: Vec<u64>,
+}
+
+/// Adds the edge `a → b` unless both ends are the same transaction.
+fn link(edges: &mut BTreeSet<(TxnId, TxnId)>, a: TxnId, b: TxnId) {
+    if a != b {
+        edges.insert((a, b));
+    }
+}
+
+impl CopyOrder {
+    /// Index in `ops` of the first op at or after site seq `seq`.
+    fn index(&self, seq: u64) -> usize {
+        self.ops.partition_point(|&(s, _, _)| s < seq)
+    }
+
+    /// `ops` indices of the writes nearest before and after `seq`, which
+    /// must not be a write in `writes`.
+    fn nearest_writes(&self, seq: u64) -> (Option<usize>, Option<usize>) {
+        let w = self.writes.partition_point(|&s| s < seq);
+        let prev = w.checked_sub(1).map(|i| self.index(self.writes[i]));
+        let next = self.writes.get(w).map(|&s| self.index(s));
+        (prev, next)
+    }
+
+    /// Inserts a committed op and links it to its nearest conflicting
+    /// neighbours: a read to the previous and the next write; a write to
+    /// the previous write and the reads since it, and to the next write
+    /// and the reads before it. Edges among the neighbours themselves
+    /// stay; they remain real conflicts and are merely implied now.
+    fn insert(
+        &mut self,
+        seq: u64,
+        txn: TxnId,
+        kind: AccessKind,
+        edges: &mut BTreeSet<(TxnId, TxnId)>,
+    ) {
+        let pos = self.index(seq);
+        self.ops.insert(pos, (seq, txn, kind));
+        let (prev, next) = self.nearest_writes(seq);
+        match kind {
+            AccessKind::Read => {
+                if let Some(p) = prev {
+                    link(edges, self.ops[p].1, txn);
+                }
+                if let Some(n) = next {
+                    link(edges, txn, self.ops[n].1);
+                }
+            }
+            AccessKind::Write => {
+                for &(_, before, _) in &self.ops[prev.unwrap_or(0)..pos] {
+                    link(edges, before, txn);
+                }
+                let end = next.map_or(self.ops.len(), |n| n + 1);
+                for &(_, after, _) in &self.ops[pos + 1..end] {
+                    link(edges, txn, after);
+                }
+                let w = self.writes.partition_point(|&s| s < seq);
+                self.writes.insert(w, seq);
+            }
+        }
+    }
+
+    /// Removes the op at site seq `seq`, if present, returning its kind.
+    fn remove(&mut self, seq: u64) -> Option<AccessKind> {
+        let i = self.index(seq);
+        if self.ops.get(i).is_none_or(|&(s, _, _)| s != seq) {
+            return None;
+        }
+        let (_, _, kind) = self.ops.remove(i);
+        if kind == AccessKind::Write {
+            let w = self.writes.partition_point(|&s| s < seq);
+            self.writes.remove(w);
+        }
+        Some(kind)
+    }
+
+    /// Re-links the span a removed write at `seq` used to split: the
+    /// writes now either side of it link to each other and to every read
+    /// between them.
+    fn relink_gap(&self, seq: u64, edges: &mut BTreeSet<(TxnId, TxnId)>) {
+        let (prev, next) = self.nearest_writes(seq);
+        let start = prev.map_or(0, |p| p + 1);
+        let end = next.unwrap_or(self.ops.len());
+        let prev = prev.map(|p| self.ops[p].1);
+        let next = next.map(|n| self.ops[n].1);
+        for &(_, read, _) in &self.ops[start..end] {
+            if let Some(p) = prev {
+                link(edges, p, read);
+            }
+            if let Some(n) = next {
+                link(edges, read, n);
+            }
+        }
+        if let (Some(p), Some(n)) = (prev, next) {
+            link(edges, p, n);
+        }
+    }
+}
 
 /// A multi-site execution history.
 ///
@@ -69,14 +189,14 @@ pub struct ReplicatedHistory {
     committed: HashSet<TxnId>,
     /// Every op of every transaction, for commit/purge integration.
     ops_by_txn: FxHashMap<TxnId, Vec<(u32, u64, Key, AccessKind)>>,
-    /// Committed ops per (site, key), kept sorted by site sequence.
-    /// Holds only *integrated* ops; `dirty` tracks the rest.
-    committed_seqs: FxHashMap<(u32, Key), SeqOps>,
-    /// The maintained serialization-graph edge set (sorted by BTree
-    /// order, which equals the old sort-and-dedup output).
+    /// Committed ops per (site, key) copy, in site order. Holds only
+    /// *integrated* ops; `dirty` tracks the rest.
+    copies: FxHashMap<(u32, Key), CopyOrder>,
+    /// The maintained serialization-graph edges: a reachability-
+    /// equivalent subgraph of the full conflict graph, sorted.
     edges: BTreeSet<(TxnId, TxnId)>,
     /// Committed transactions with operations not yet folded into
-    /// `committed_seqs`/`edges` (may contain duplicates and stale ids —
+    /// `copies`/`edges` (may contain duplicates and stale ids —
     /// integration re-checks).
     dirty: Vec<TxnId>,
     /// How many of each committed transaction's ops are integrated (a
@@ -194,22 +314,13 @@ impl ReplicatedHistory {
         }
     }
 
-    /// Folds one committed op into the per-(site, key) conflict order and
-    /// the maintained edge set.
+    /// Folds one committed op into its copy's conflict order and the
+    /// maintained edge set.
     fn integrate(&mut self, site: u32, seq: u64, key: Key, kind: AccessKind, txn: TxnId) {
-        let list = self.committed_seqs.entry((site, key)).or_default();
-        let pos = list.partition_point(|&(s, _, _)| s < seq);
-        for &(other_seq, other_txn, other_kind) in list.iter() {
-            if other_txn == txn || !kind.conflicts_with(other_kind) {
-                continue;
-            }
-            if other_seq < seq {
-                self.edges.insert((other_txn, txn));
-            } else {
-                self.edges.insert((txn, other_txn));
-            }
-        }
-        list.insert(pos, (seq, txn, kind));
+        self.copies
+            .entry((site, key))
+            .or_default()
+            .insert(seq, txn, kind, &mut self.edges);
     }
 
     /// Number of recorded operations across all sites.
@@ -241,6 +352,7 @@ impl ReplicatedHistory {
         // the un-flushed tail vanishes with the op list (its `dirty`
         // entries go stale, which `flush` tolerates).
         let done = self.integrated.remove(&txn).unwrap_or(0);
+        let mut gaps = Vec::new();
         for (i, &(site, seq, key, _)) in ops.iter().enumerate() {
             if let Some(log) = self.per_site.get_mut(&site) {
                 if let Ok(j) = log.ops.binary_search_by_key(&seq, |&(s, _)| s) {
@@ -248,16 +360,22 @@ impl ReplicatedHistory {
                 }
             }
             if was_committed && i < done {
-                if let Some(list) = self.committed_seqs.get_mut(&(site, key)) {
-                    list.retain(|&(s, t, _)| !(s == seq && t == txn));
+                if let Some(copy) = self.copies.get_mut(&(site, key)) {
+                    if copy.remove(seq) == Some(AccessKind::Write) {
+                        gaps.push((site, key, seq));
+                    }
                 }
             }
         }
         self.total_ops -= ops.len();
         if done > 0 {
             // Dropping txn's ops removes exactly the edges touching txn;
-            // orders among the remaining transactions are unchanged.
+            // orders among the remaining transactions are unchanged, but
+            // the ops either side of a removed write become adjacent.
             self.edges.retain(|&(a, b)| a != txn && b != txn);
+            for (site, key, seq) in gaps {
+                self.copies[&(site, key)].relink_gap(seq, &mut self.edges);
+            }
         }
     }
 
@@ -283,47 +401,26 @@ impl ReplicatedHistory {
 
     /// The maintained edge set plus the contribution of any still-pending
     /// committed ops, computed without mutating (so `&self` readers stay
-    /// correct mid-stream).
+    /// correct mid-stream): pending ops are linked, by the same rule and
+    /// in the order `flush` would take them, into clones of just the
+    /// (site, key) orders they touch.
     fn edges_with_pending(&self) -> BTreeSet<(TxnId, TxnId)> {
         let mut edges = self.edges.clone();
-        let mut pending: FxHashMap<(u32, Key), SeqOps> = FxHashMap::default();
+        let mut touched: FxHashMap<(u32, Key), CopyOrder> = FxHashMap::default();
         let mut seen: HashSet<TxnId> = HashSet::new();
-        for &txn in &self.dirty {
+        for &txn in self.dirty.iter().rev() {
             if !self.committed.contains(&txn) || !seen.insert(txn) {
                 continue;
             }
             let done = self.integrated.get(&txn).copied().unwrap_or(0);
             if let Some(ops) = self.ops_by_txn.get(&txn) {
                 for &(site, seq, key, kind) in ops.iter().skip(done) {
-                    pending
+                    touched
                         .entry((site, key))
-                        .or_default()
-                        .push((seq, txn, kind));
-                }
-            }
-        }
-        for ((site, key), mut plist) in pending {
-            plist.sort_unstable_by_key(|&(s, _, _)| s);
-            // Pending vs already-integrated ops on the same copy.
-            if let Some(list) = self.committed_seqs.get(&(site, key)) {
-                for &(pseq, ptxn, pkind) in &plist {
-                    for &(oseq, otxn, okind) in list {
-                        if otxn != ptxn && pkind.conflicts_with(okind) {
-                            edges.insert(if oseq < pseq {
-                                (otxn, ptxn)
-                            } else {
-                                (ptxn, otxn)
-                            });
-                        }
-                    }
-                }
-            }
-            // Pending vs pending.
-            for (i, &(s1, t1, k1)) in plist.iter().enumerate() {
-                for &(s2, t2, k2) in &plist[i + 1..] {
-                    if t1 != t2 && k1.conflicts_with(k2) {
-                        edges.insert(if s1 < s2 { (t1, t2) } else { (t2, t1) });
-                    }
+                        .or_insert_with(|| {
+                            self.copies.get(&(site, key)).cloned().unwrap_or_default()
+                        })
+                        .insert(seq, txn, kind, &mut edges);
                 }
             }
         }
@@ -331,6 +428,11 @@ impl ReplicatedHistory {
     }
 
     /// The edges of the replicated-data serialization graph, sorted.
+    ///
+    /// This is a reachability-equivalent subgraph, not every conflicting
+    /// pair: each committed op is linked only to its nearest conflicting
+    /// neighbours on its copy, so `a → b` may be absent while a path from
+    /// `a` to `b` exists. Every edge returned is a real conflict edge.
     pub fn conflict_edges(&self) -> Vec<(TxnId, TxnId)> {
         if self.dirty.is_empty() {
             return self.edges.iter().copied().collect();
@@ -346,44 +448,9 @@ impl ReplicatedHistory {
     /// otherwise returns a witness serial order (a topological sort).
     pub fn check_one_copy_serializable(&self) -> Result<Vec<TxnId>, SerializabilityViolation> {
         let edges = self.conflict_edges();
-        let mut nodes: Vec<TxnId> = self.committed.iter().copied().collect();
-        nodes.sort_unstable();
-        let mut adj: HashMap<TxnId, Vec<TxnId>> = HashMap::new();
-        let mut indeg: HashMap<TxnId, usize> = nodes.iter().map(|&n| (n, 0)).collect();
-        for &(a, b) in &edges {
-            adj.entry(a).or_default().push(b);
-            *indeg.entry(b).or_insert(0) += 1;
-            indeg.entry(a).or_insert(0);
-        }
-        // Kahn's algorithm with deterministic tie-breaking.
-        let mut ready: Vec<TxnId> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
-        ready.sort_unstable();
-        let mut order = Vec::with_capacity(indeg.len());
-        while let Some(&n) = ready.first() {
-            ready.remove(0);
-            order.push(n);
-            if let Some(succ) = adj.get(&n) {
-                for &s in succ {
-                    let d = indeg.get_mut(&s).expect("known node");
-                    *d -= 1;
-                    if *d == 0 {
-                        let pos = ready.binary_search(&s).unwrap_or_else(|p| p);
-                        ready.insert(pos, s);
-                    }
-                }
-            }
-        }
-        if order.len() == indeg.len() {
-            Ok(order)
-        } else {
-            Err(SerializabilityViolation {
-                cycle: self.find_cycle(&edges),
-            })
-        }
+        serial_order(&self.committed, &edges).ok_or_else(|| SerializabilityViolation {
+            cycle: self.find_cycle(&edges),
+        })
     }
 
     fn find_cycle(&self, edges: &[(TxnId, TxnId)]) -> Vec<TxnId> {
@@ -465,6 +532,37 @@ impl ReplicatedHistory {
     }
 }
 
+/// Kahn's algorithm with deterministic tie-breaking: the smallest ready
+/// id always goes next, so the order is the lexicographically smallest
+/// topological order — a function of the graph's reachability alone.
+/// `None` if the graph over `nodes` and the edges' ends is cyclic.
+fn serial_order(nodes: &HashSet<TxnId>, edges: &[(TxnId, TxnId)]) -> Option<Vec<TxnId>> {
+    let mut adj: FxHashMap<TxnId, Vec<TxnId>> = FxHashMap::default();
+    let mut indeg: FxHashMap<TxnId, usize> = nodes.iter().map(|&n| (n, 0)).collect();
+    for &(a, b) in edges {
+        adj.entry(a).or_default().push(b);
+        *indeg.entry(b).or_insert(0) += 1;
+        indeg.entry(a).or_insert(0);
+    }
+    let mut ready: BinaryHeap<Reverse<TxnId>> = indeg
+        .iter()
+        .filter(|(_, &d)| d == 0)
+        .map(|(&n, _)| Reverse(n))
+        .collect();
+    let mut order = Vec::with_capacity(indeg.len());
+    while let Some(Reverse(n)) = ready.pop() {
+        order.push(n);
+        for s in adj.get(&n).into_iter().flatten() {
+            let d = indeg.get_mut(s).expect("known node");
+            *d -= 1;
+            if *d == 0 {
+                ready.push(Reverse(*s));
+            }
+        }
+    }
+    (order.len() == indeg.len()).then_some(order)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,6 +570,52 @@ mod tests {
 
     fn t(ts: u64) -> TxnId {
         TxnId::new(ts, 0)
+    }
+
+    /// Every (a, b) with a non-empty path a ⇝ b.
+    fn closure(edges: &[(TxnId, TxnId)]) -> BTreeSet<(TxnId, TxnId)> {
+        let mut adj: HashMap<TxnId, Vec<TxnId>> = HashMap::new();
+        for &(a, b) in edges {
+            adj.entry(a).or_default().push(b);
+        }
+        let mut reach = BTreeSet::new();
+        for &from in adj.keys() {
+            let mut stack = adj[&from].clone();
+            while let Some(n) = stack.pop() {
+                if reach.insert((from, n)) {
+                    stack.extend(adj.get(&n).into_iter().flatten());
+                }
+            }
+        }
+        reach
+    }
+
+    /// Checks the maintained graph against the full-rescan oracle: its
+    /// edges are real conflict edges, it has the same transitive closure,
+    /// and the 1SR verdict and witness order are those of Kahn's
+    /// algorithm over the full graph.
+    fn assert_equivalent_to_full_rescan(h: &ReplicatedHistory) {
+        let kept = h.conflict_edges();
+        let full = h.full_rescan_edges();
+        let all: HashSet<&(TxnId, TxnId)> = full.iter().collect();
+        for e in &kept {
+            assert!(all.contains(e), "{e:?} is not a conflict edge");
+        }
+        assert_eq!(closure(&kept), closure(&full));
+        let verdict = h.check_one_copy_serializable();
+        assert_eq!(
+            verdict.as_ref().ok(),
+            serial_order(h.committed(), &full).as_ref()
+        );
+        if let Err(v) = verdict {
+            for (i, a) in v.cycle.iter().enumerate() {
+                let b = v.cycle[(i + 1) % v.cycle.len()];
+                assert!(
+                    all.contains(&(*a, b)),
+                    "cycle edge {a:?} -> {b:?} is not real"
+                );
+            }
+        }
     }
 
     #[test]
@@ -598,11 +742,14 @@ mod tests {
 
     #[test]
     fn incremental_edges_match_full_rescan_under_random_load() {
-        // Random record/commit/purge traffic: the maintained edge set must
-        // equal a from-scratch rescan after every mutation.
+        // Random record/commit/purge traffic: after every mutation the
+        // maintained graph must be equivalent to a from-scratch rescan.
+        // Graph reads link pending ops into scratch copies; a periodic
+        // flush (merging an empty history) exercises the maintained path
+        // and purge re-linking too.
         let mut h = ReplicatedHistory::new();
         let mut s = 77u64;
-        for _ in 0..600 {
+        for step in 0..6000 {
             s = s
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -619,14 +766,17 @@ mod tests {
                 1 | 2 => h.mark_committed(txn),
                 _ => h.record(site, txn, key, kind),
             }
-            assert_eq!(h.conflict_edges(), h.full_rescan_edges());
+            if step % 50 == 49 {
+                h.merge(&ReplicatedHistory::new());
+            }
+            assert_equivalent_to_full_rescan(&h);
         }
     }
 
     #[test]
     fn pending_reads_agree_with_flushed_state() {
         // Reading edges while integration is still queued (the `&self`
-        // overlay) must match what a flushed history reports.
+        // overlay) must be equivalent to what a flushed history reports.
         let mut h = ReplicatedHistory::new();
         h.record(0, t(1), Key(0), Write);
         h.record(0, t(2), Key(0), Write);
@@ -639,8 +789,9 @@ mod tests {
         let before = h.conflict_edges();
         let mut merged = ReplicatedHistory::new();
         merged.merge(&h); // merge flushes
-        assert_eq!(before, merged.conflict_edges());
-        assert_eq!(before, h.full_rescan_edges());
+        assert_eq!(closure(&before), closure(&merged.conflict_edges()));
+        assert_equivalent_to_full_rescan(&h);
+        assert_equivalent_to_full_rescan(&merged);
     }
 
     #[test]
@@ -695,7 +846,7 @@ mod tests {
         // b's site-1 order contributes t2→t3 (t3 committed via merge).
         assert!(a.conflict_edges().contains(&(t(1), t(2))));
         assert!(a.conflict_edges().contains(&(t(2), t(3))));
-        assert_eq!(a.conflict_edges(), a.full_rescan_edges());
+        assert_equivalent_to_full_rescan(&a);
         assert_eq!(a.len(), 4);
     }
 }

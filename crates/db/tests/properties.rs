@@ -203,6 +203,179 @@ impl RefLockManager {
     }
 }
 
+/// One step of multi-site history traffic against two histories; `Merge`
+/// folds the second into the first.
+#[derive(Debug, Clone, Copy)]
+enum HistStep {
+    Record {
+        second: bool,
+        site: u32,
+        txn: u8,
+        key: u64,
+        write: bool,
+    },
+    Commit {
+        second: bool,
+        txn: u8,
+    },
+    Purge {
+        second: bool,
+        txn: u8,
+    },
+    Merge,
+}
+
+fn record_step() -> impl Strategy<Value = HistStep> {
+    ((any::<bool>(), 0u32..3, 0u8..6), (0u64..3, any::<bool>())).prop_map(
+        |((second, site, txn), (key, write))| HistStep::Record {
+            second,
+            site,
+            txn,
+            key,
+            write,
+        },
+    )
+}
+
+fn hist_steps() -> impl Strategy<Value = Vec<HistStep>> {
+    proptest::collection::vec(
+        prop_oneof![
+            record_step(),
+            record_step(),
+            (any::<bool>(), 0u8..6).prop_map(|(second, txn)| HistStep::Commit { second, txn }),
+            (any::<bool>(), 0u8..6).prop_map(|(second, txn)| HistStep::Purge { second, txn }),
+            Just(HistStep::Merge),
+        ],
+        1..120,
+    )
+}
+
+/// What a history should hold, kept the naive way: each site's ops in
+/// execution order, and the committed set.
+#[derive(Debug, Clone, Default)]
+struct HistModel {
+    sites: std::collections::BTreeMap<u32, Vec<(TxnId, u64, AccessKind)>>,
+    committed: std::collections::BTreeSet<TxnId>,
+}
+
+impl HistModel {
+    fn purge(&mut self, txn: TxnId) {
+        for ops in self.sites.values_mut() {
+            ops.retain(|&(t, _, _)| t != txn);
+        }
+        self.committed.remove(&txn);
+    }
+
+    fn merge(&mut self, other: &HistModel) {
+        for (&site, ops) in &other.sites {
+            self.sites.entry(site).or_default().extend(ops);
+        }
+        self.committed.extend(&other.committed);
+    }
+
+    /// The full serialization graph: an edge for every ordered pair of
+    /// conflicting ops of distinct committed transactions on one copy.
+    fn full_graph(&self) -> std::collections::BTreeSet<(TxnId, TxnId)> {
+        let mut edges = std::collections::BTreeSet::new();
+        for ops in self.sites.values() {
+            for (i, &(t1, k1, a1)) in ops.iter().enumerate() {
+                for &(t2, k2, a2) in &ops[i + 1..] {
+                    if k1 == k2
+                        && t1 != t2
+                        && a1.conflicts_with(a2)
+                        && self.committed.contains(&t1)
+                        && self.committed.contains(&t2)
+                    {
+                        edges.insert((t1, t2));
+                    }
+                }
+            }
+        }
+        edges
+    }
+
+    /// Kahn's algorithm over the full graph, smallest id first; `None`
+    /// if it is cyclic.
+    fn witness(&self) -> Option<Vec<TxnId>> {
+        let edges = self.full_graph();
+        let mut indeg: std::collections::BTreeMap<TxnId, usize> =
+            self.committed.iter().map(|&t| (t, 0)).collect();
+        for (_, b) in &edges {
+            *indeg.get_mut(b).expect("committed") += 1;
+        }
+        let mut ready: std::collections::BTreeSet<TxnId> = indeg
+            .iter()
+            .filter(|(_, &d)| d == 0)
+            .map(|(&t, _)| t)
+            .collect();
+        let mut order = Vec::new();
+        while let Some(n) = ready.pop_first() {
+            order.push(n);
+            for &(_, b) in edges
+                .range((n, TxnId::new(0, 0))..)
+                .take_while(|(a, _)| *a == n)
+            {
+                let d = indeg.get_mut(&b).expect("committed");
+                *d -= 1;
+                if *d == 0 {
+                    ready.insert(b);
+                }
+            }
+        }
+        (order.len() == self.committed.len()).then_some(order)
+    }
+}
+
+/// The history's kept edges are real conflict edges of the model's full
+/// graph, its verdict and witness are the model's, and a reported cycle
+/// is a real cycle of the full graph.
+fn check_history_against_model(h: &ReplicatedHistory, m: &HistModel) -> Result<(), TestCaseError> {
+    let full = m.full_graph();
+    for e in h.conflict_edges() {
+        prop_assert!(full.contains(&e), "kept edge {:?} is not a conflict", e);
+    }
+    match h.check_one_copy_serializable() {
+        Ok(order) => prop_assert_eq!(Some(order), m.witness()),
+        Err(violation) => {
+            prop_assert_eq!(m.witness(), None);
+            let cycle = &violation.cycle;
+            prop_assert!(cycle.len() >= 2);
+            for (i, &a) in cycle.iter().enumerate() {
+                let b = cycle[(i + 1) % cycle.len()];
+                prop_assert!(
+                    full.contains(&(a, b)),
+                    "cycle edge {} -> {} is not real",
+                    a,
+                    b
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// 2,000 committed writers of one key at 3 sites: the kept graph is the
+/// write chain, linear in the history, not the ~2×10⁶ conflicting pairs.
+#[test]
+fn hot_key_history_stays_linear() {
+    const WRITERS: u64 = 2000;
+    let mut h = ReplicatedHistory::new();
+    for ts in 1..=WRITERS {
+        for site in 0..3 {
+            h.record(site, TxnId::new(ts, 0), Key(0), AccessKind::Write);
+        }
+        h.mark_committed(TxnId::new(ts, 0));
+    }
+    let pending = h.conflict_edges().len();
+    let mut merged = ReplicatedHistory::new();
+    merged.merge(&h);
+    let kept = merged.conflict_edges().len();
+    assert!(pending <= WRITERS as usize, "{pending} pending-path edges");
+    assert!(kept <= WRITERS as usize, "{kept} maintained edges");
+    let order = merged.check_one_copy_serializable().expect("1SR");
+    assert!(order.iter().map(|t| t.ts).eq(1..=WRITERS));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -422,6 +595,42 @@ proptest! {
                         "reported cycle edge {} -> {} not in graph", a, b
                     );
                 }
+            }
+        }
+    }
+
+    /// Random multi-site record/commit/purge/merge traffic on two
+    /// histories: each agrees with the full conflict graph built from the
+    /// ops it recorded — kept edges are real, the verdict and witness are
+    /// Kahn's over the full graph, and a reported cycle is real.
+    #[test]
+    fn serialization_graph_matches_full_conflict_graph(steps in hist_steps()) {
+        let mut hs = [ReplicatedHistory::new(), ReplicatedHistory::new()];
+        let mut ms = [HistModel::default(), HistModel::default()];
+        for step in steps {
+            match step {
+                HistStep::Record { second, site, txn, key, write } => {
+                    let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                    hs[second as usize].record(site, t(txn), Key(key), kind);
+                    ms[second as usize].sites.entry(site).or_default().push((t(txn), key, kind));
+                }
+                HistStep::Commit { second, txn } => {
+                    hs[second as usize].mark_committed(t(txn));
+                    ms[second as usize].committed.insert(t(txn));
+                }
+                HistStep::Purge { second, txn } => {
+                    hs[second as usize].purge(t(txn));
+                    ms[second as usize].purge(t(txn));
+                }
+                HistStep::Merge => {
+                    let [a, b] = &mut hs;
+                    a.merge(b);
+                    let [ma, mb] = &mut ms;
+                    ma.merge(mb);
+                }
+            }
+            for (h, m) in hs.iter().zip(&ms) {
+                check_history_against_model(h, m)?;
             }
         }
     }
